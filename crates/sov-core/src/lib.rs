@@ -5,10 +5,6 @@
 //!
 //! * [`config`] — vehicle configurations: the deployed camera-based pod,
 //!   the hypothetical LiDAR variant, and the rejected mobile-SoC variant.
-//! * [`executor`] — a real threaded pipeline executor (bounded channels,
-//!   panic isolation, per-stage deadlines) demonstrating the task-level
-//!   parallelism of Sec. IV: throughput is set by the slowest stage while
-//!   latency is the sum of stages.
 //! * [`pool`] / [`arena`] — the complementary *intra*-frame layer
 //!   (re-exported from `sov-runtime`): a deterministic worker pool whose
 //!   chunked kernels are bit-identical to serial at any lane count, and
@@ -31,7 +27,9 @@
 //! * [`sov`] — the closed-loop vehicle: world + sensors + perception +
 //!   planning + ECU + battery, with the **proactive path** subject to the
 //!   computing latency and the **reactive path** overriding the ECU
-//!   directly (Sec. IV).
+//!   directly (Sec. IV). Its piped drive overlaps frames on its own
+//!   sensing/perception/planning lanes; the generic Sec. IV stage
+//!   executor is `sov_runtime::pipeline::FramePipeline`.
 //!
 //! # Example
 //!
@@ -52,7 +50,6 @@
 pub mod arena;
 pub mod characterize;
 pub mod config;
-pub mod executor;
 pub mod health;
 pub mod pipeline;
 pub mod pool;

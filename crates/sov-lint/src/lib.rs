@@ -66,10 +66,6 @@ const WALL_CLOCK_ALLOW: &[(&str, &str)] = &[
         "drive-loop stage stamps feeding the ledger",
     ),
     (
-        "crates/sov-core/src/executor.rs",
-        "executor deadline/retry telemetry",
-    ),
-    (
         "crates/sov-testkit/src/bench.rs",
         "the micro-bench harness times closures by definition",
     ),
@@ -1096,5 +1092,20 @@ mod tests {
                    fn a() { println!(\"one\"); }\n\
                    fn b() { println!(\"two\"); }\n";
         assert!(rules_at(LIB, src).is_empty());
+    }
+
+    #[test]
+    fn every_allowlisted_path_exists() {
+        // A deleted or renamed file must take its exemption with it, or
+        // the allowlist silently pre-approves whatever lands there next.
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let paths = WALL_CLOCK_ALLOW
+            .iter()
+            .chain(UNSAFE_ALLOW)
+            .map(|(path, _)| *path)
+            .chain(STDOUT_ALLOW.iter().copied());
+        for path in paths {
+            assert!(root.join(path).is_file(), "dead lint exemption: {path}");
+        }
     }
 }

@@ -3,10 +3,10 @@
 //! The paper's LiDAR case study shows that the real bottleneck of the
 //! perception stack is *within* a frame: irregular point-cloud kernels and
 //! image processing dominated by memory traffic and redundant data
-//! movement. Task-level pipelining (Sec. IV, `sov_core::executor`) overlaps
-//! whole stages; this crate supplies the complementary layer — data
-//! parallelism *inside* each stage — plus the allocation discipline that
-//! makes a steady-state control tick free of heap traffic:
+//! movement. Task-level pipelining (Sec. IV, [`pipeline::FramePipeline`])
+//! overlaps whole stages; this crate also supplies the complementary layer
+//! — data parallelism *inside* each stage — plus the allocation discipline
+//! that makes a steady-state control tick free of heap traffic:
 //!
 //! * [`pool`] — a std-only persistent [`pool::WorkerPool`] whose
 //!   `parallel_for` / `parallel_map_reduce` use **fixed chunking and an

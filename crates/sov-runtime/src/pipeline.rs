@@ -192,6 +192,12 @@ impl FramePipeline {
     ///
     /// Requires `pool` with ≥ 3 lanes and depth > 1 to actually overlap;
     /// otherwise every frame runs on the bit-identical serial fallback.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic from any stage once every lane has exited: the
+    /// panicking stage's rings close as it unwinds, which releases its
+    /// peers. The pool stays usable for the next run.
     pub fn run<S, P, O, FS, FP, FL, FC>(
         &self,
         pool: Option<&WorkerPool>,
@@ -315,6 +321,11 @@ impl FramePipeline {
                 // stage. Frames commit in FIFO (= serial) order, and each
                 // plan sees the committed output of the previous frame.
                 || {
+                    // Own the commit-side ring ends so that a panicking
+                    // plan or commit drops them while unwinding: the
+                    // closed rings release both lanes, which would
+                    // otherwise block forever on this thread.
+                    let (p_rx, p_ret_tx) = (p_rx, p_ret_tx);
                     let mut committed: u64 = 0;
                     let mut drained = false;
                     let mut prev: Option<O> = None;
@@ -643,6 +654,142 @@ mod tests {
         );
         assert_eq!(run.frames, 0);
         assert!(run.latencies.is_empty());
+    }
+
+    /// Runs `frames` frames through sleeping 8 / 8 / 1 ms stages.
+    fn sleeping(pool: &WorkerPool, depth: usize, frames: u64) -> PipelineRun {
+        let nap = |ms| std::thread::sleep(Duration::from_millis(ms));
+        FramePipeline::new(depth).run(
+            Some(pool),
+            frames,
+            |k, _ctx: StageCtx<'_, u64>| {
+                nap(8);
+                k
+            },
+            |_, s, _ctx: StageCtx<'_, u64>| {
+                nap(8);
+                *s
+            },
+            |_, p, _: Option<&u64>| {
+                nap(1);
+                *p
+            },
+            |_, _| FrameControl::Continue,
+        )
+    }
+
+    #[test]
+    fn throughput_set_by_slowest_stage_latency_by_sum() {
+        // Fig. 5: pipelining lifts throughput toward the slowest stage
+        // (8 ms → 125 Hz) from the serial 17 ms sum (≈ 59 Hz), while every
+        // frame still pays the whole sum. Sleeping stages need no spare
+        // cores, so the bound holds on any host.
+        let pool = WorkerPool::new(3);
+        let frames = 30;
+        let serial = sleeping(&pool, 1, frames);
+        let piped = sleeping(&pool, 2, frames);
+        assert_eq!(
+            piped.pipelined_frames, frames,
+            "depth 2 overlaps every frame"
+        );
+        assert!(
+            piped.throughput_fps() >= 1.5 * serial.throughput_fps(),
+            "pipelined {:.0} Hz vs serial {:.0} Hz",
+            piped.throughput_fps(),
+            serial.throughput_fps()
+        );
+        for run in [&serial, &piped] {
+            assert!(
+                run.latency_percentile(0.5) >= Duration::from_millis(17),
+                "latency is the stage sum, got p50 {:?}",
+                run.latency_percentile(0.5)
+            );
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Faulty {
+        Sense,
+        Perceive,
+        Plan,
+    }
+
+    /// Runs `f` on a helper thread and fails unless it finishes within
+    /// `limit`, so a wedged pipeline fails its test instead of the suite.
+    fn within<F: FnOnce() + Send + 'static>(limit: Duration, f: F) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let body = std::thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        if rx.recv_timeout(limit) == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+            panic!("pipeline hung for {limit:?}");
+        }
+        if let Err(payload) = body.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
+
+    /// Panics `stage` on frame `at`, on the pipelined path (3 lanes,
+    /// depth 3) and the serial path (depth 1), and checks that the panic
+    /// reaches the caller and the same pool then runs a clean pipeline.
+    fn assert_stage_panic_surfaces(stage: Faulty) {
+        within(Duration::from_secs(60), move || {
+            let pool = WorkerPool::new(3);
+            let (reference, _) = checksums(None, 1, 40);
+            for depth in [3usize, 1] {
+                for at in [0u64, 7, 19] {
+                    let trip = |s: Faulty, k: u64| {
+                        if s == stage && k == at {
+                            panic!("injected {s:?} fault at frame {k}");
+                        }
+                    };
+                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        FramePipeline::new(depth).run(
+                            Some(&pool),
+                            20,
+                            |k, _ctx: StageCtx<'_, u64>| {
+                                trip(Faulty::Sense, k);
+                                k
+                            },
+                            |k, s, _ctx: StageCtx<'_, u64>| {
+                                trip(Faulty::Perceive, k);
+                                *s
+                            },
+                            |k, p, _: Option<&u64>| {
+                                trip(Faulty::Plan, k);
+                                *p
+                            },
+                            |_, _| FrameControl::Continue,
+                        )
+                    }));
+                    assert!(
+                        result.is_err(),
+                        "{stage:?} panic at frame {at}, depth {depth}"
+                    );
+                    let (out, run) = checksums(Some(&pool), depth, 40);
+                    assert_eq!(out, reference, "pool reusable after {stage:?} panic");
+                    if depth > 1 {
+                        assert_eq!(run.pipelined_frames, 40, "clean run overlaps again");
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn sense_panic_reaches_the_caller_and_the_pool_survives() {
+        assert_stage_panic_surfaces(Faulty::Sense);
+    }
+
+    #[test]
+    fn perceive_panic_reaches_the_caller_and_the_pool_survives() {
+        assert_stage_panic_surfaces(Faulty::Perceive);
+    }
+
+    #[test]
+    fn plan_panic_reaches_the_caller_and_the_pool_survives() {
+        assert_stage_panic_surfaces(Faulty::Plan);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! ```
 
 use sov::core::config::VehicleConfig;
-use sov::core::executor::{run_pipeline, Stage};
 use sov::core::sov::Sov;
 use sov::world::scenario::Scenario;
 
@@ -55,27 +54,8 @@ fn main() {
         report.final_localization_error_m
     );
 
-    // Demonstrate the TLP executor: pipelined stages sustain the 10 Hz
-    // throughput even though the serial latency exceeds the period.
-    println!("\ntask-level parallelism demo (threaded pipeline):");
-    let stages = vec![
-        Stage::new("sensing", |x: u64| {
-            std::thread::sleep(std::time::Duration::from_millis(8));
-            x
-        }),
-        Stage::new("perception", |x: u64| {
-            std::thread::sleep(std::time::Duration::from_millis(8));
-            x
-        }),
-        Stage::new("planning", |x: u64| {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            x
-        }),
-    ];
-    let pipe = run_pipeline(stages, (0..40).collect());
     println!(
-        "  40 frames through 8+8+1 ms stages: throughput {:.0} Hz, per-frame latency {:.0} ms",
-        pipe.throughput_hz(),
-        pipe.mean_latency().as_secs_f64() * 1000.0
+        "\nfor the Fig. 5 task-level-parallelism demo (pipelined sensing →\n\
+         perception → planning), run:\n  cargo run --release -p sov-bench --bin fig05_tlp"
     );
 }

@@ -77,6 +77,14 @@ echo "== bench bins build + perf_matrix smoke =="
 cargo build --offline --release -p sov-bench --bins
 ./target/release/perf_matrix --smoke
 
+echo "== fig05_tlp (Fig. 5 depth sweep on FramePipeline; exits non-zero =="
+echo "== if any depth > 1 run fell back to the serial schedule or left  =="
+echo "== a frame unpipelined — a deterministic check, not a timing gate) =="
+./target/release/fig05_tlp
+
+echo "== quickstart example (closed-loop drive end to end) =="
+cargo run --offline --release -q --example quickstart
+
 echo "== pipeline_matrix smoke (front-end-lane cells + tail gate; exits =="
 echo "== non-zero on checksum mismatch, an idle lane in the d3 w4 drive =="
 echo "== cell, or — on hosts with >= 3 cores — a drained p99.9 that     =="
