@@ -557,6 +557,9 @@ impl RouteTable {
 /// Deterministic bounded memo of [`RouteField`]s, keyed by destination
 /// lane.
 ///
+/// Capacity is counted in fields; a fleet sizes it from a memory budget
+/// with [`RouteCache::fields_within`] (a field costs 8 B per lane, so one
+/// budget keeps a small map fully resident and bounds a large one).
 /// Capacity and eviction are fixed by config, not access timing: slots
 /// evict in strict FIFO **insertion** order (a hit never reorders), and
 /// the cache is touched only on the serial phases of the fleet tick —
@@ -587,6 +590,16 @@ impl RouteCache {
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// The capacity a memory budget of `budget_bytes` buys on `table`:
+    /// `budget / (8 · lanes)` fields, capped at the lane count (there is
+    /// one field per destination lane to hold). Fields pinned by live
+    /// assignments after eviction are not counted.
+    #[must_use]
+    pub fn fields_within(table: &RouteTable, budget_bytes: usize) -> usize {
+        let field_bytes = std::mem::size_of::<f64>() * table.len();
+        (budget_bytes / field_bytes).min(table.len())
     }
 
     /// Returns the field toward `dest`, computing (and, capacity
@@ -865,6 +878,17 @@ mod tests {
         }
         assert_eq!(c.misses(), t.len() as u64);
         assert_eq!(c.hits(), t.len() as u64);
+    }
+
+    #[test]
+    fn budget_buys_whole_fields_up_to_the_lane_count() {
+        let t = table(); // 24 lanes: one field is 192 B
+        let field = 8 * t.len();
+        assert_eq!(RouteCache::fields_within(&t, 0), 0);
+        assert_eq!(RouteCache::fields_within(&t, field - 1), 0);
+        assert_eq!(RouteCache::fields_within(&t, field), 1);
+        assert_eq!(RouteCache::fields_within(&t, 5 * field + 7), 5);
+        assert_eq!(RouteCache::fields_within(&t, usize::MAX), t.len());
     }
 
     #[test]

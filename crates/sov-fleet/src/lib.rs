@@ -11,7 +11,8 @@
 //! * [`graph`] — [`graph::RouteTable`]: a `LaneMap` compiled to CSR
 //!   adjacency with on-demand binary-heap Dijkstra ([`graph::RouteField`]
 //!   per destination, `O(E log N)` per miss — no dense N×N matrix) behind
-//!   a deterministic FIFO-evicting [`graph::RouteCache`]; `O(log n)`
+//!   a deterministic FIFO-evicting [`graph::RouteCache`] sized from a
+//!   byte budget; `O(log n)`
 //!   uniform position sampling and exact-arrival `advance_with` along
 //!   shortest paths.
 //! * [`index`] — [`index::SpatialIndex`]: fixed-geometry grid buckets
@@ -20,7 +21,9 @@
 //!   whole fleet, with tie behavior (distance, then lower id) identical
 //!   to the linear scan.
 //! * [`request`] — [`request::RideGen`]: seeded Poisson ride demand with
-//!   origins/destinations uniform by arclength over the network.
+//!   origins/destinations uniform by arclength over the network; the
+//!   minimum-trip test is settled by straight-line distance wherever that
+//!   is exact, so arrivals route only near pairs.
 //! * [`vehicle`] — [`vehicle::FleetVehicle`]: the per-vehicle serving
 //!   state machine (idle → to-pickup → onboard → idle/charging) with
 //!   battery accounting, an arena-backed lookahead control kernel, and a
@@ -36,7 +39,7 @@
 //!
 //! The fleet report is **byte-identical to the serial linear-scan
 //! reference for any dispatch mode, worker or shard count, and
-//! route-cache capacity**. The argument is the house invariant
+//! route-cache budget**. The argument is the house invariant
 //! (DESIGN.md §8/§14/§15) applied to new job shapes: chunk boundaries
 //! depend only on input sizes and config; the parallel dispatch stage is
 //! a read-only search against a pre-dispatch snapshot whose results a

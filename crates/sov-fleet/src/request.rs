@@ -6,6 +6,14 @@
 //! stream consumed in a fixed order on the serial phase of the fleet tick,
 //! so a seed fully determines the demand trace independent of worker
 //! count.
+//!
+//! Arrivals compute no route that the rest of the tick reads. A
+//! destination draw only has to decide "driving distance ≥
+//! `min_trip_m`", and on a contiguous map the straight line between the
+//! two poses already decides it for every pair that is not near: only
+//! near pairs (and every pair on a map with connection gaps) run the
+//! exact search, so arrivals no longer warm the route cache — dispatch
+//! resolves the fields it needs itself.
 
 use crate::graph::{FleetPos, RouteCache, RouteTable};
 use sov_math::SovRng;
@@ -21,8 +29,6 @@ pub struct RideRequest {
     pub origin: FleetPos,
     /// Drop-off position.
     pub dest: FleetPos,
-    /// Shortest driving distance origin → destination (meters).
-    pub direct_m: f64,
 }
 
 /// Seeded Poisson request generator.
@@ -37,6 +43,17 @@ pub struct RideGen {
 /// Destination re-draws before a short trip is accepted anyway: keeps the
 /// RNG consumption bounded per request regardless of map geometry.
 const MAX_DEST_DRAWS: u32 = 16;
+
+/// Relative slack of the straight-line gate. Driving distance is a sum of
+/// polyline segment lengths and the straight line one `hypot`, each off
+/// by a few ulps; a pair is accepted without a search only when its
+/// straight line clears `min_trip_m` by this factor, so rounding can
+/// never flip a decision the exact search would make.
+const GATE_REL_SLACK: f64 = 1e-9;
+
+/// Absolute slack of the gate (meters): covers the coordinate rounding of
+/// the two poses (≈ 1e-16 × map extent) when `min_trip_m` is tiny or 0.
+const GATE_ABS_SLACK_M: f64 = 1e-9;
 
 impl RideGen {
     /// Creates a generator producing on average `rate_per_tick` requests
@@ -65,15 +82,30 @@ impl RideGen {
         self.next_id
     }
 
+    /// The demand stream's RNG state: two generators with equal state
+    /// (and equal rate and minimum trip) produce the same future trace.
+    #[must_use]
+    pub fn rng(&self) -> &SovRng {
+        &self.rng
+    }
+
     /// Appends this tick's arrivals to `out` (which is not cleared).
     ///
     /// The arrival count is Poisson-distributed via Knuth's product
     /// method; each request then draws an origin and up to
-    /// [`MAX_DEST_DRAWS`] destinations from the network sampler. Direct
-    /// distances are answered through `cache`, which also pre-warms the
-    /// destination fields the dispatcher and the ride itself will reuse —
-    /// generation runs on the serial phase, so the cache's state stays a
-    /// pure function of the demand trace.
+    /// [`MAX_DEST_DRAWS`] destinations from the network sampler, keeping
+    /// the first whose driving distance is at least `min_trip_m`.
+    ///
+    /// On a contiguous map ([`RouteTable::max_connection_gap_m`]` == 0`)
+    /// a route from one pose to another is a continuous curve of the
+    /// route's length, so driving distance ≥ straight-line distance: a
+    /// draw whose straight line exceeds `min_trip_m` (plus rounding
+    /// slack) is accepted without any search. Only the remaining near
+    /// draws — and every draw on a map with connection gaps — resolve
+    /// the exact distance through `cache`. Every accept/reject decision,
+    /// and so the RNG stream, is the one the exact search makes on every
+    /// draw. Generation runs on the serial phase, so the cache's state
+    /// stays a pure function of the demand trace.
     pub fn generate(
         &mut self,
         tick: u64,
@@ -81,28 +113,34 @@ impl RideGen {
         cache: &mut RouteCache,
         out: &mut Vec<RideRequest>,
     ) {
-        let mut direct_to = |origin: FleetPos, dest: FleetPos| {
+        let gate = table.max_connection_gap_m() == 0.0;
+        let min_trip = self.min_trip_m;
+        let gate_m = min_trip * (1.0 + GATE_REL_SLACK) + GATE_ABS_SLACK_M;
+        let mut long_enough = |origin: FleetPos, dest: FleetPos| {
+            if gate {
+                let (a, b) = (table.pose(origin), table.pose(dest));
+                if (b.x - a.x).hypot(b.y - a.y) > gate_m {
+                    return true;
+                }
+            }
             let field = cache.field(table, dest.lane);
-            table.travel_distance_with(origin, dest, &field)
+            table.travel_distance_with(origin, dest, &field) >= min_trip
         };
         let arrivals = self.poisson();
         for _ in 0..arrivals {
             let origin = table.sample(self.rng.next_f64());
             let mut dest = table.sample(self.rng.next_f64());
-            let mut direct = direct_to(origin, dest);
             for _ in 1..MAX_DEST_DRAWS {
-                if direct >= self.min_trip_m {
+                if long_enough(origin, dest) {
                     break;
                 }
                 dest = table.sample(self.rng.next_f64());
-                direct = direct_to(origin, dest);
             }
             out.push(RideRequest {
                 id: self.next_id,
                 tick,
                 origin,
                 dest,
-                direct_m: direct,
             });
             self.next_id += 1;
         }
@@ -188,18 +226,33 @@ mod tests {
         for tick in 0..200 {
             gen.generate(tick, &t, &mut cache, &mut out);
         }
-        assert!(cache.hits() > 0, "repeated destinations must hit the cache");
         assert!(!out.is_empty());
-        let short = out.iter().filter(|r| r.direct_m < 120.0).count();
+        let short = out
+            .iter()
+            .filter(|r| t.travel_distance(r.origin, r.dest) < 120.0)
+            .count();
         // The retry budget makes short trips rare, not impossible.
         assert!(
             short * 10 < out.len(),
             "{short} of {} trips under the minimum",
             out.len()
         );
-        for r in &out {
-            assert!((r.direct_m - t.travel_distance(r.origin, r.dest)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn far_draws_skip_the_route_search() {
+        // A 3×3 grid of 50 m blocks spans 100 m: with no minimum every
+        // draw but a coincident pair clears the straight-line gate, so
+        // the cache is (almost) never consulted.
+        let t = table();
+        let mut gen = RideGen::new(5, 5.0, 0.0);
+        let mut cache = RouteCache::new(&t, usize::MAX);
+        let mut out = Vec::new();
+        for tick in 0..200 {
+            gen.generate(tick, &t, &mut cache, &mut out);
         }
+        assert!(out.len() > 500);
+        assert_eq!(cache.hits() + cache.misses(), 0, "far pairs ran a search");
     }
 
     #[test]

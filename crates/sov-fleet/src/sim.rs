@@ -4,8 +4,10 @@
 //! Every tick runs four phases:
 //!
 //! 1. **Arrivals** (serial): the seeded Poisson generator appends this
-//!    tick's requests to the FIFO queue, warming the route cache with
-//!    each trip's destination field.
+//!    tick's requests to the FIFO queue. Its minimum-trip test is settled
+//!    by straight-line distance for all but near pairs, so arrivals run
+//!    (almost) no route search and no longer warm the route cache:
+//!    dispatch resolves the two fields each ride drives on.
 //! 2. **Dispatch**: strict-FIFO — the head request goes to the nearest
 //!    available vehicle, ties broken on the lower vehicle id. Two
 //!    implementations produce identical bytes: the retained
@@ -171,9 +173,12 @@ pub struct FleetConfig {
     /// Shard size of the sharded candidate search: queued requests per
     /// parallel chunk. Config-fixed for the same reason as `chunk`.
     pub dispatch_chunk: usize,
-    /// Route-cache capacity in compiled fields (`usize::MAX` = unbounded,
-    /// `0` = memoization off). Changes work done, never bytes produced.
-    pub route_cache: usize,
+    /// Route-cache memory budget (bytes). [`FleetSim::new`] keeps
+    /// `min(lanes, budget / (8 · lanes))` fields resident
+    /// ([`RouteCache::fields_within`]): the default 12 MiB holds every
+    /// field of the 12×12 grid (2.2 MB) and 252 of the 40×40 grid's. `0`
+    /// turns memoization off. Changes work done, never bytes produced.
+    pub route_cache_bytes: usize,
     /// Spatial-index bucket edge length (meters).
     pub index_cell_m: f64,
     /// Consecutive stalled ticks before a not-yet-picked-up ride returns
@@ -215,7 +220,7 @@ impl FleetConfig {
             chunk: 64,
             dispatch: DispatchMode::Indexed,
             dispatch_chunk: 16,
-            route_cache: 256,
+            route_cache_bytes: 12 << 20,
             index_cell_m: 80.0,
             stall_requeue_ticks: Some(90),
             tco: TcoModel::tourist_site_defaults(),
@@ -349,7 +354,10 @@ impl FleetSim {
         // reference (reports are mode-invariant, so this is safe).
         let index = (cfg.dispatch == DispatchMode::Indexed && table.max_connection_gap_m() == 0.0)
             .then(|| SpatialIndex::new(&table, cfg.index_cell_m));
-        let cache = RouteCache::new(&table, cfg.route_cache);
+        let cache = RouteCache::new(
+            &table,
+            RouteCache::fields_within(&table, cfg.route_cache_bytes),
+        );
         let vehicles: Vec<FleetVehicle> = (0..cfg.vehicles)
             .map(|i| {
                 let u = (f64::from(i) + 0.5) / f64::from(cfg.vehicles);
@@ -387,6 +395,12 @@ impl FleetSim {
     #[must_use]
     pub fn table(&self) -> &RouteTable {
         &self.table
+    }
+
+    /// The route cache (its derived capacity and hit/miss counters).
+    #[must_use]
+    pub fn route_cache(&self) -> &RouteCache {
+        &self.cache
     }
 
     /// The configuration this simulation runs.
@@ -1036,6 +1050,62 @@ mod tests {
             }
         }
         assert!(saw_assignment, "demand never produced an assignment");
+    }
+
+    #[test]
+    fn route_cache_budget_is_invisible_in_reports() {
+        let lanes = FleetSim::new(small_cfg()).table().len();
+        let one_field = 8 * lanes;
+        let default = small_cfg().route_cache_bytes;
+        let run = |route_cache_bytes: usize| {
+            let mut sim = FleetSim::new(FleetConfig {
+                route_cache_bytes,
+                ..small_cfg()
+            });
+            let report = sim.run(None);
+            (sim.route_cache().capacity(), report)
+        };
+        let (cap, reference) = run(0);
+        assert_eq!(cap, 0, "a zero budget disables memoization");
+        for (budget, want_cap) in [(one_field, 1), (default, lanes), (usize::MAX, lanes)] {
+            let (cap, report) = run(budget);
+            assert_eq!(cap, want_cap, "budget {budget} B");
+            assert_eq!(report, reference, "budget {budget} B changed the report");
+        }
+    }
+
+    #[test]
+    fn default_budget_keeps_the_city_grid_resident() {
+        // The 12×12 grid's 528 fields (2.2 MB) fit the default budget:
+        // once every lane has been routed to, dispatch never misses.
+        let mut sim = FleetSim::new(FleetConfig::perceptin_fleet(4000));
+        let lanes = sim.table().len();
+        assert_eq!(lanes, 528);
+        assert_eq!(sim.route_cache().capacity(), lanes);
+        for _ in 0..400 {
+            sim.tick_once(None);
+        }
+        assert_eq!(sim.route_cache().len(), lanes, "warm-up left a lane cold");
+        let misses = sim.dispatch_stats().route_cache_misses;
+        for _ in 0..200 {
+            sim.tick_once(None);
+        }
+        let stats = sim.dispatch_stats();
+        assert_eq!(stats.route_cache_misses, misses, "resident cache missed");
+        assert!(stats.route_cache_hits > 0);
+    }
+
+    #[test]
+    fn default_budget_bounds_the_sprawl_cache() {
+        // 40×40 grid: a field is 49.9 kB, so 12 MiB buys 252 of 6 240 —
+        // no more than the 256 fields the old count-based default held.
+        let sim = FleetSim::new(FleetConfig {
+            grid_rows: 40,
+            grid_cols: 40,
+            ..FleetConfig::perceptin_fleet(1000)
+        });
+        assert_eq!(sim.table().len(), 6240);
+        assert_eq!(sim.route_cache().capacity(), 252);
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //! any order and produce the same bytes as a serial sweep.
 //!
 //! The lookahead control kernel borrows its scratch buffer from a
-//! per-thread [`FrameArena`], so after one warm-up tick per worker the
-//! steady-state fleet tick performs zero heap allocation
-//! ([`scratch_stats`] exposes the counters the tests assert on).
+//! per-thread [`FrameArena`], so after one warm-up tick per worker a
+//! steady-state advance performs zero heap allocation process-wide (the
+//! fleet proptests count every global-allocator call to prove it).
 
 use crate::graph::{FleetPos, RouteField, RouteTable};
 use crate::request::RideRequest;
 use crate::sim::FleetFaultPlan;
-use sov_runtime::arena::{ArenaStats, FrameArena};
+use sov_runtime::arena::FrameArena;
 use sov_sim::time::SimDuration;
 use sov_vehicle::battery::Battery;
 use std::sync::Arc;
@@ -26,19 +26,6 @@ thread_local! {
     /// never feeds back into vehicle outputs, so it cannot break the
     /// serial/sharded byte-identity invariant.
     static SCRATCH: FrameArena = FrameArena::new();
-}
-
-/// Allocation counters of the calling thread's control-kernel scratch
-/// arena (see [`FrameArena::stats`]).
-#[must_use]
-pub fn scratch_stats() -> ArenaStats {
-    SCRATCH.with(FrameArena::stats)
-}
-
-/// Zeroes the calling thread's scratch counters — warm up, reset, run a
-/// tick, assert `allocations == 0`.
-pub fn reset_scratch_stats() {
-    SCRATCH.with(FrameArena::reset_stats);
 }
 
 /// What a vehicle is doing this tick.
@@ -73,8 +60,6 @@ pub struct Assignment {
     pub origin: FleetPos,
     /// Drop-off position.
     pub dest: FleetPos,
-    /// Shortest origin → destination distance (meters).
-    pub direct_m: f64,
     /// Route field toward the pickup lane; `None` once picked up.
     pub to_origin: Option<Arc<RouteField>>,
     /// Route field toward the drop-off lane.
@@ -91,7 +76,6 @@ impl Assignment {
             tick: self.request_tick,
             origin: self.origin,
             dest: self.dest,
-            direct_m: self.direct_m,
         }
     }
 }
@@ -106,8 +90,6 @@ pub struct RideEvent {
     pub wait_ticks: u64,
     /// Ticks between pickup and drop-off.
     pub travel_ticks: u64,
-    /// Shortest origin → destination distance (meters).
-    pub direct_m: f64,
 }
 
 /// Immutable per-tick parameters shared by every vehicle step.
@@ -250,7 +232,6 @@ impl FleetVehicle {
             pickup_tick: tick,
             origin: request.origin,
             dest: request.dest,
-            direct_m: request.direct_m,
             to_origin: Some(to_origin),
             to_dest,
         });
@@ -337,7 +318,6 @@ impl FleetVehicle {
                 request_id: a.request_id,
                 wait_ticks: a.pickup_tick - a.request_tick,
                 travel_ticks: p.tick - a.pickup_tick,
-                direct_m: a.direct_m,
             });
             self.duty = if self.battery.soc() < p.reserve_soc {
                 Duty::Charging
@@ -451,7 +431,7 @@ mod tests {
         let e = v.completed[0];
         assert_eq!(e.request_id, req.id);
         assert!(v.duty() == Duty::Idle || v.duty() == Duty::Charging);
-        assert!(v.odometer_m >= req.direct_m - 1e-6);
+        assert!(v.odometer_m >= table.travel_distance(req.origin, req.dest) - 1e-6);
         assert!(v.energy_kwh > 0.0);
         assert!(v.driving_ticks > 0);
         // The last step ran at tick − 1: wait + travel spans arrival → drop.

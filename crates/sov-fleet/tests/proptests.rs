@@ -8,17 +8,28 @@
 //! 2. **Dispatch equivalence**: the indexed + sharded dispatcher produces
 //!    the same bytes as the retained serial linear-scan reference across
 //!    worker counts, dispatch shard sizes, spatial-index cell sizes, and
-//!    route-cache capacities (including capacity 1 and unbounded), with
-//!    the stall-requeue coupling live — and its deterministic work
-//!    counters are identical for every worker count.
-//! 3. **Allocation-free steady state**: after a warm-up tick, the control
-//!    kernel's per-thread arena serves every scratch take from its pool —
-//!    zero heap allocations per tick — with the spatial index active.
+//!    route-cache budgets (including one field and unbounded), with the
+//!    stall-requeue coupling live — and its deterministic work counters
+//!    are identical for every worker count.
+//! 3. **Exact demand**: the straight-line-gated [`RideGen`] produces the
+//!    same requests and leaves the same RNG state as a reference that runs
+//!    the exact route search on every destination draw, and falls back to
+//!    that search on a map whose lanes do not touch.
+//! 4. **Allocation-free steady state**: after warm-up, `phase_advance`
+//!    makes zero calls to the global allocator (counted process-wide by
+//!    `sov_testkit::alloc::CountingAlloc`) with the spatial index active.
 
+use sov_fleet::graph::{FleetPos, RouteCache, RouteTable};
+use sov_fleet::request::{RideGen, RideRequest};
 use sov_fleet::sim::{DispatchMode, FleetConfig, FleetFaultPlan, FleetSim};
-use sov_fleet::vehicle::{reset_scratch_stats, scratch_stats};
+use sov_math::SovRng;
 use sov_runtime::pool::WorkerPool;
+use sov_testkit::alloc::{thread_allocations, CountingAlloc};
 use sov_testkit::prelude::*;
+use sov_world::map::{grid_network, Lane, LaneId, LaneMap};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// A small-but-busy fleet the property cases perturb: every run completes
 /// rides, exercises dispatch queues, and finishes in milliseconds.
@@ -107,7 +118,9 @@ proptest! {
         index_cell_m in 30.0f64..150.0,
         fault_axis in 0u32..2,
     ) {
-        let route_cache = [1usize, 8, usize::MAX][cache_axis];
+        // base_cfg's 4×4 grid has 48 lanes: one field is 384 B.
+        let one_field = 8 * 48;
+        let route_cache_bytes = [one_field, 8 * one_field, usize::MAX][cache_axis];
         let fault = (fault_axis == 1).then_some(FleetFaultPlan {
             seed: seed ^ 0xFA17,
             from_tick: 40,
@@ -118,7 +131,7 @@ proptest! {
             dispatch: DispatchMode::Linear,
             stall_requeue_ticks: Some(20),
             fault,
-            route_cache,
+            route_cache_bytes,
             ..base_cfg(seed, vehicles, chunk)
         };
         let reference = FleetSim::new(linear_cfg.clone()).run(None);
@@ -136,8 +149,8 @@ proptest! {
             let report = sim.run(pool.as_ref());
             prop_assert_eq!(
                 &reference, &report,
-                "indexed != linear (lanes {}, dchunk {}, cache {}, cell {})",
-                lanes, dispatch_chunk, route_cache, index_cell_m
+                "indexed != linear (lanes {}, dchunk {}, cache {} B, cell {})",
+                lanes, dispatch_chunk, route_cache_bytes, index_cell_m
             );
             let stats = sim.dispatch_stats();
             match serial_stats {
@@ -152,36 +165,187 @@ proptest! {
     }
 }
 
+/// Destination draws per request before a short trip is accepted anyway
+/// (mirrors `RideGen`'s retry budget).
+const MAX_DEST_DRAWS: u32 = 16;
+
+/// The exact-search specification of `RideGen::generate`: every
+/// destination draw runs the route search, and the generator's RNG is
+/// consumed in the same order.
+struct ExactGen {
+    rng: SovRng,
+    rate_per_tick: f64,
+    min_trip_m: f64,
+    next_id: u64,
+    /// Accept/reject decisions taken, each one route search.
+    decisions: u64,
+    /// Decisions the straight line alone would have got wrong (straight
+    /// line past the minimum, driving distance short of it).
+    euclid_wrong: u64,
+}
+
+impl ExactGen {
+    fn new(seed: u64, rate_per_tick: f64, min_trip_m: f64) -> Self {
+        Self {
+            rng: SovRng::seed_from_u64(seed),
+            rate_per_tick,
+            min_trip_m,
+            next_id: 0,
+            decisions: 0,
+            euclid_wrong: 0,
+        }
+    }
+
+    fn generate(&mut self, tick: u64, table: &RouteTable, out: &mut Vec<RideRequest>) {
+        let l = (-self.rate_per_tick).exp();
+        let mut arrivals = 0u64;
+        let mut p = 1.0;
+        loop {
+            p *= self.rng.next_f64();
+            if p <= l {
+                break;
+            }
+            arrivals += 1;
+        }
+        for _ in 0..arrivals {
+            let origin = table.sample(self.rng.next_f64());
+            let mut dest = table.sample(self.rng.next_f64());
+            let mut direct = table.travel_distance(origin, dest);
+            for _ in 1..MAX_DEST_DRAWS {
+                self.decisions += 1;
+                if euclid(table, origin, dest) > self.min_trip_m && direct < self.min_trip_m {
+                    self.euclid_wrong += 1;
+                }
+                if direct >= self.min_trip_m {
+                    break;
+                }
+                dest = table.sample(self.rng.next_f64());
+                direct = table.travel_distance(origin, dest);
+            }
+            out.push(RideRequest {
+                id: self.next_id,
+                tick,
+                origin,
+                dest,
+            });
+            self.next_id += 1;
+        }
+    }
+}
+
+fn euclid(table: &RouteTable, a: FleetPos, b: FleetPos) -> f64 {
+    let (a, b) = (table.pose(a), table.pose(b));
+    (b.x - a.x).hypot(b.y - a.y)
+}
+
+/// Runs the gated generator and the exact reference side by side; returns
+/// the reference and the gated run's route-cache lookups.
+fn compare_generators(
+    table: &RouteTable,
+    seed: u64,
+    rate: f64,
+    min_trip_m: f64,
+    ticks: u64,
+) -> (ExactGen, u64) {
+    let mut gated = RideGen::new(seed, rate, min_trip_m);
+    let mut exact = ExactGen::new(seed, rate, min_trip_m);
+    let mut cache = RouteCache::new(table, usize::MAX);
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for tick in 0..ticks {
+        gated.generate(tick, table, &mut cache, &mut got);
+        exact.generate(tick, table, &mut want);
+        prop_assert_eq!(&got, &want, "requests diverged at tick {}", tick);
+    }
+    prop_assert_eq!(gated.rng(), &exact.rng, "RNG state diverged");
+    prop_assert_eq!(gated.generated(), exact.next_id);
+    (exact, cache.hits() + cache.misses())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn gated_demand_matches_exact_search(
+        seed in 0u64..u64::MAX,
+        rows in 2u32..13,
+        cols in 2u32..13,
+        block_axis in 0usize..5,
+        trip_axis in 0usize..6,
+        free_trip_m in 0.0f64..400.0,
+    ) {
+        let block_m = [40.0, 50.0, 60.0, 75.0, 80.0][block_axis];
+        // Block multiples put exact ties (straight line == driving
+        // distance == minimum) on the gate's boundary.
+        let min_trip_m = [0.0, 60.0, 80.0, 150.0, 160.0, free_trip_m][trip_axis];
+        let table = RouteTable::new(&grid_network(rows, cols, block_m, 2.5, 8.0));
+        prop_assert_eq!(table.max_connection_gap_m(), 0.0);
+        let (exact, lookups) = compare_generators(&table, seed, 3.0, min_trip_m, 30);
+        prop_assert!(exact.next_id > 0, "no demand generated");
+        prop_assert!(lookups <= exact.decisions);
+        prop_assert_eq!(exact.euclid_wrong, 0, "straight line beat driving distance");
+    }
+}
+
+/// Two 20 m lanes 280 m apart, each the other's only successor: driving
+/// between them is short, the straight line long — the straight-line
+/// gate would accept trips that are shorter than the minimum.
+fn gapped_map() -> LaneMap {
+    let mut map = LaneMap::new();
+    for (i, x0) in [(0u32, 0.0), (1, 300.0)] {
+        let lane =
+            Lane::new(LaneId(i), vec![(x0, 0.0), (x0 + 20.0, 0.0)], 2.5, 8.0).expect("valid lane");
+        map.insert(lane);
+    }
+    map.connect(LaneId(0), LaneId(1)).expect("lanes exist");
+    map.connect(LaneId(1), LaneId(0)).expect("lanes exist");
+    map
+}
+
 #[test]
-fn steady_state_fleet_tick_is_allocation_free() {
-    // Serial run on this thread so the thread-local scratch arena sees
-    // every control-kernel take. base_cfg defaults to indexed dispatch,
-    // so the spatial index (rebuild + ring search) is on the measured
-    // path.
+fn gapped_map_falls_back_to_exact_search() {
+    let table = RouteTable::new(&gapped_map());
+    assert!(table.max_connection_gap_m() > 0.0);
+    let (exact, lookups) = compare_generators(&table, 17, 2.0, 30.0, 200);
+    assert!(
+        exact.euclid_wrong > 0,
+        "map never separates straight line from driving distance"
+    );
+    assert_eq!(
+        lookups, exact.decisions,
+        "every decision must run the exact search"
+    );
+}
+
+#[test]
+fn steady_state_advance_is_allocation_free() {
+    // Serial run on this thread so every allocation the advance makes is
+    // counted here. base_cfg defaults to indexed dispatch, so the spatial
+    // index (rebuild + ring search) runs between the measured phases.
     let mut sim = FleetSim::new(base_cfg(7, 32, 8));
     assert_eq!(sim.config().dispatch, DispatchMode::Indexed);
-    // Warm-up: enough ticks for vehicles to start driving (the kernel
-    // only runs on driving ticks) and for the arena to pool its buffer.
+    // Warm-up: enough ticks for vehicles to start driving (the control
+    // kernel only runs on driving ticks) and for its arena to pool.
     for _ in 0..60 {
         sim.tick_once(None);
     }
-    assert!(
-        sim.vehicles().iter().any(|v| v.driving_ticks > 0),
-        "warm-up never drove — the assertion below would be vacuous"
-    );
-    reset_scratch_stats();
+    let driving0: u64 = sim.vehicles().iter().map(|v| v.driving_ticks).sum();
+    assert!(driving0 > 0, "warm-up never drove");
+    let mut allocs = 0;
     for _ in 0..120 {
-        sim.tick_once(None);
+        sim.phase_arrivals();
+        sim.phase_dispatch(None);
+        let before = thread_allocations();
+        sim.phase_advance(None);
+        allocs += thread_allocations() - before;
+        sim.phase_merge();
     }
-    let stats = scratch_stats();
+    let driving: u64 = sim.vehicles().iter().map(|v| v.driving_ticks).sum();
     assert!(
-        stats.takes > 0,
-        "steady state never used the kernel scratch"
+        driving > driving0,
+        "steady state never drove — the assertion below would be vacuous"
     );
     assert_eq!(
-        stats.allocations, 0,
-        "steady-state fleet tick allocated scratch ({} takes, {} allocs)",
-        stats.takes, stats.allocations
+        allocs, 0,
+        "steady-state phase_advance called the allocator {allocs} times"
     );
-    assert_eq!(stats.reuses, stats.takes, "every take must hit the pool");
 }

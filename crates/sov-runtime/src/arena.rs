@@ -7,7 +7,11 @@
 //! vectors per element type: kernels [`take`](FrameArena::take) scratch
 //! buffers instead of allocating and [`recycle`](FrameArena::recycle) them
 //! at frame end, so after a warm-up frame the steady-state tick performs
-//! zero heap allocation for these buffers.
+//! zero heap allocation — process-wide, not only by the arena's own
+//! counters: each element type's free list is one boxed `Vec<Vec<T>>`
+//! whose capacity is kept, so a warm take/recycle pair touches the
+//! global allocator not at all (`tests/arena_alloc.rs` counts every
+//! allocator call to prove it).
 //!
 //! The arena is deliberately **not** `Sync`: each thread of control owns
 //! its own. Parallel kernels use the arena only for caller-side scratch;
@@ -54,9 +58,12 @@ impl ArenaStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct FrameArena {
-    /// Free lists keyed by element type; every stored box is a `Vec<T>`
-    /// with length zero and its old capacity intact.
-    pools: RefCell<HashMap<TypeId, Vec<Box<dyn Any>>>>,
+    /// One free list per element type: the box under `TypeId::of::<T>()`
+    /// is a `Vec<Vec<T>>` of empty buffers with their old capacity intact.
+    /// The list itself is boxed once, on the type's first recycle.
+    pools: RefCell<HashMap<TypeId, Box<dyn Any>>>,
+    /// Buffers currently pooled, across all types.
+    pooled: Cell<usize>,
     takes: Cell<u64>,
     reuses: Cell<u64>,
     allocations: Cell<u64>,
@@ -76,12 +83,17 @@ impl FrameArena {
         let recycled = self
             .pools
             .borrow_mut()
-            .get_mut(&TypeId::of::<Vec<T>>())
-            .and_then(Vec::pop);
+            .get_mut(&TypeId::of::<T>())
+            .and_then(|list| {
+                list.downcast_mut::<Vec<Vec<T>>>()
+                    .expect("free list keyed by element type")
+                    .pop()
+            });
         match recycled {
-            Some(boxed) => {
+            Some(buffer) => {
                 self.reuses.set(self.reuses.get() + 1);
-                *boxed.downcast::<Vec<T>>().expect("pool keyed by type")
+                self.pooled.set(self.pooled.get() - 1);
+                buffer
             }
             None => {
                 self.allocations.set(self.allocations.get() + 1);
@@ -96,9 +108,12 @@ impl FrameArena {
         buffer.clear();
         self.pools
             .borrow_mut()
-            .entry(TypeId::of::<Vec<T>>())
-            .or_default()
-            .push(Box::new(buffer));
+            .entry(TypeId::of::<T>())
+            .or_insert_with(|| Box::new(Vec::<Vec<T>>::new()))
+            .downcast_mut::<Vec<Vec<T>>>()
+            .expect("free list keyed by element type")
+            .push(buffer);
+        self.pooled.set(self.pooled.get() + 1);
     }
 
     /// Allocation statistics since construction (or the last
@@ -123,8 +138,7 @@ impl FrameArena {
     /// Number of buffers currently pooled (across all types).
     #[must_use]
     pub fn pooled(&self) -> usize {
-        // sov-lint: allow(map-iter) — order-independent usize sum
-        self.pools.borrow().values().map(Vec::len).sum()
+        self.pooled.get()
     }
 }
 

@@ -16,7 +16,9 @@
 //!   pool is enabled or resized.
 //! * [`arena`] — a per-frame [`arena::FrameArena`] of reusable typed
 //!   buffers: kernels borrow scratch vectors instead of allocating, and
-//!   recycle them at frame end with their capacity intact.
+//!   recycle them at frame end with their capacity intact. Once warm, a
+//!   take/recycle pair makes no global-allocator call at all (zero heap
+//!   allocation process-wide, counted by `tests/arena_alloc.rs`).
 //!
 //! The perception (`sov-perception`) and LiDAR (`sov-lidar`) hot kernels
 //! accept an optional pool and arena; `sov-core` re-exports this crate as

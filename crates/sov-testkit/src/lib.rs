@@ -16,7 +16,9 @@
 //!
 //! It additionally hosts [`model`], a loom-style bounded-schedule model
 //! checker used to verify the `sov-runtime` concurrency protocols under
-//! exhaustively enumerated interleavings (DESIGN.md §13).
+//! exhaustively enumerated interleavings (DESIGN.md §13), and [`alloc`],
+//! a counting global allocator that turns "allocation-free steady state"
+//! into a process-wide assertion.
 //!
 //! Both are deliberately tiny: if the real `proptest`/`criterion` become
 //! fetchable again, switching back is a one-line import change per file.
@@ -362,6 +364,7 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, proptest};
 }
 
+pub mod alloc;
 pub mod bench;
 pub mod model;
 

@@ -104,8 +104,20 @@ cargo test --offline -q -p sov-fleet --test proptests
 
 echo "== fleet dispatch-equivalence proptest (indexed + sharded vs the =="
 echo "== serial linear scan across workers × dispatch shards × route-  =="
-echo "== cache capacities × index cell sizes × stall requeues)         =="
+echo "== cache budgets × index cell sizes × stall requeues)            =="
 cargo test --offline -q -p sov-fleet --test proptests dispatch_equivalence
+
+echo "== gated ride demand == exact search (straight-line-gated RideGen =="
+echo "== vs a route search on every draw: same requests, same RNG state =="
+echo "== over grids 2-12 × blocks × trip minima; a gapped map falls back) =="
+cargo test --offline -q -p sov-fleet --test proptests -- gated_demand_matches_exact_search \
+  gapped_map_falls_back_to_exact_search
+
+echo "== process-wide allocation checks (counting global allocator: a  =="
+echo "== warm FrameArena take/recycle loop and steady-state fleet       =="
+echo "== phase_advance make zero allocator calls)                       =="
+cargo test --offline -q -p sov-runtime --test arena_alloc
+cargo test --offline -q -p sov-fleet --test proptests steady_state_advance_is_allocation_free
 
 echo "== fleet_matrix smoke (ride serving with the spatial index on: one =="
 echo "== linear reference cell + the indexed worker sweep; exits non-    =="
