@@ -66,7 +66,7 @@ fn drive_piped(scenario: &Scenario, seed: u64, plan: &FaultPlan) -> DriveReport 
 
 /// `[p50, p99, p99.9, max]` — the four points every attribution column
 /// reports (the pipeline-matrix convention).
-fn quad(s: &mut Summary) -> [f64; 4] {
+fn quad(s: &Summary) -> [f64; 4] {
     [s.percentile(50.0), s.p99(), s.p999(), s.max()]
 }
 
@@ -78,16 +78,16 @@ fn quad_json(q: [f64; 4]) -> String {
 }
 
 fn attribution_json(r: &Run) -> String {
-    let mut t = r.attribution.clone();
+    let t = &r.attribution;
     format!(
         concat!(
             "{{\"total_ms\": {}, \"compute_ms\": {}, \"queue_ms\": {}, ",
             "\"stall_ms\": {}, \"piped_identical\": {}}}"
         ),
-        quad_json(quad(&mut t.total_ms)),
-        quad_json(quad(&mut t.compute_ms)),
-        quad_json(quad(&mut t.queue_ms)),
-        quad_json(quad(&mut t.stall_ms)),
+        quad_json(quad(&t.total_ms)),
+        quad_json(quad(&t.compute_ms)),
+        quad_json(quad(&t.queue_ms)),
+        quad_json(quad(&t.stall_ms)),
         r.piped_identical,
     )
 }
@@ -100,7 +100,7 @@ fn json_escape(s: &str) -> String {
 /// tail is where COLA locates the Level-4 safety breakers; a fault that
 /// barely moves the mean can still stretch p99.9 by hundreds of ms.
 fn tail(rep: &DriveReport) -> (f64, f64, f64, f64) {
-    let mut c = rep.computing.clone();
+    let c = &rep.computing;
     (c.median(), c.p99(), c.p999(), c.max())
 }
 
@@ -267,7 +267,7 @@ fn main() {
     );
     let mut piped_ok = true;
     for r in &runs {
-        let mut t = r.attribution.clone();
+        let t = &r.attribution;
         if !r.piped_identical {
             piped_ok = false;
         }

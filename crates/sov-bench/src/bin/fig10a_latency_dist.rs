@@ -12,17 +12,17 @@ fn main() {
     let seed = sov_bench::seed_from_args();
     let config = VehicleConfig::perceptin_pod();
     let profile = ComplexityProfile::new(vec![(0.0, 0.3), (0.5, 0.6), (1.0, 0.3)]);
-    let mut c = Characterization::run(&config, &profile, 20_000, seed);
+    let c = Characterization::run(&config, &profile, 20_000, seed);
     println!(
         "{:<16} | {:>12} | {:>12} | {:>12}",
         "stage", "best (ms)", "mean (ms)", "p99 (ms)"
     );
     println!("{:-<16}-+-{:->12}-+-{:->12}-+-{:->12}", "", "", "", "");
-    let rows: [(&str, &mut sov_math::stats::Summary); 4] = [
-        ("sensing", &mut c.sensing),
-        ("perception", &mut c.perception),
-        ("planning", &mut c.planning),
-        ("computing", &mut c.computing),
+    let rows: [(&str, &sov_math::stats::Summary); 4] = [
+        ("sensing", &c.sensing),
+        ("perception", &c.perception),
+        ("planning", &c.planning),
+        ("computing", &c.computing),
     ];
     for (name, s) in rows {
         println!(

@@ -9,17 +9,17 @@ fn main() {
     let seed = sov_bench::seed_from_args();
     let config = VehicleConfig::perceptin_pod();
     let profile = ComplexityProfile::new(vec![(0.0, 0.3), (0.5, 0.6), (1.0, 0.3)]);
-    let mut c = Characterization::run(&config, &profile, 20_000, seed);
+    let c = Characterization::run(&config, &profile, 20_000, seed);
     println!(
         "{:<16} | {:>12} | {:>12} | {:>12}",
         "task", "mean (ms)", "median (ms)", "σ (ms)"
     );
     println!("{:-<16}-+-{:->12}-+-{:->12}-+-{:->12}", "", "", "", "");
-    let rows: [(&str, &mut sov_math::stats::Summary); 4] = [
-        ("depth", &mut c.depth),
-        ("detection", &mut c.detection),
-        ("tracking", &mut c.tracking),
-        ("localization", &mut c.localization),
+    let rows: [(&str, &sov_math::stats::Summary); 4] = [
+        ("depth", &c.depth),
+        ("detection", &c.detection),
+        ("tracking", &c.tracking),
+        ("localization", &c.localization),
     ];
     for (name, s) in rows {
         println!(

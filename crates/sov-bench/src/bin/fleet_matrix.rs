@@ -9,26 +9,30 @@
 //! * **rides/sec** (wall-clock), the real-time factor, and a per-phase
 //!   wall-time quad (arrivals / dispatch / advance / merge) per cell;
 //! * **dispatch work counters**: distance evaluations, route-cache
-//!   hits/misses, commit-conflict fallback searches, stall requeues —
-//!   deterministic (worker-invariant), so they are gateable;
+//!   hits/misses, lanes settled by route searches, commit-conflict
+//!   fallback searches, stall requeues — deterministic (worker-invariant),
+//!   so they are gateable;
 //! * **wait and travel time** at p50/p99/p99.9/max via [`Summary`];
 //! * **fleet economics**: utilization, charging fraction, energy and
 //!   pro-rated TCO per ride, and the Eq. 2 driving time lost to the
 //!   autonomy load.
 //!
-//! Three deterministic gates (all fatal):
+//! Four deterministic gates (all fatal):
 //!
 //! 1. **Byte-identity** — every cell's [`FleetReport`] must equal the
 //!    first cell's (the linear-scan serial reference when both modes are
-//!    swept), compared before any percentile query (percentiles sort in
-//!    place, which `PartialEq` would see). This is the DESIGN.md §8
-//!    argument applied to the fleet tick across dispatch modes, worker
-//!    counts, and the spatial index.
+//!    swept). This is the DESIGN.md §8 argument applied to the fleet tick
+//!    across dispatch modes, worker counts, and the spatial index.
 //! 2. **Work-counter invariance** — within a (fleet, mode) group the
 //!    [`DispatchStats`] must be identical for every worker count.
 //! 3. **Evaluation reduction** — on the largest fleet the indexed
 //!    dispatcher must perform ≤ ½ the distance evaluations of the linear
-//!    scan (the ISSUE's ≥ 2× floor), counted deterministically.
+//!    scan, counted deterministically.
+//! 4. **Bounded large-map routing** — a serial 1 000-vehicle cell on the
+//!    40×40 grid (6 240 lanes, too many for resident route fields) must
+//!    settle fewer lanes per dispatched ride than the map has: every
+//!    route there is a goal-directed leg search, where full fields would
+//!    settle every lane twice per ride.
 //!
 //! Wall-clock fields (`wall_s`, `rides_per_sec`, `realtime_factor`,
 //! `phase_s`) are measured as-is and vary run to run; every simulated
@@ -59,6 +63,11 @@ const FULL_WORKERS: [usize; 4] = [0, 2, 4, 8];
 const SMOKE_FLEETS: [(u32, u64); 1] = [(400, 600)];
 const SMOKE_WORKERS: [usize; 2] = [0, 2];
 
+/// The large-map cell: `(vehicles, grid side, ticks)` for the full sweep
+/// and for `--smoke`.
+const SPRAWL: (u32, u32, u64) = (1000, 40, 4000);
+const SMOKE_SPRAWL: (u32, u32, u64) = (1000, 40, 600);
+
 fn mode_name(mode: DispatchMode) -> &'static str {
     match mode {
         DispatchMode::Linear => "linear",
@@ -85,8 +94,7 @@ struct FleetRow {
     fleet: u32,
     ticks: u64,
     report: FleetReport,
-    /// Wait/travel `[p50, p99, p99.9, max]` in seconds, taken from
-    /// clones so the gated report keeps its pre-sort state.
+    /// Wait/travel `[p50, p99, p99.9, max]` in seconds.
     wait: [f64; 4],
     travel: [f64; 4],
     cells: Vec<Cell>,
@@ -104,7 +112,7 @@ impl FleetRow {
 
 /// `[p50, p99, p99.9, max]` — the four points every latency column
 /// reports (the pipeline-matrix convention).
-fn quad(s: &mut Summary) -> [f64; 4] {
+fn quad(s: &Summary) -> [f64; 4] {
     [s.percentile(50.0), s.p99(), s.p999(), s.max()]
 }
 
@@ -157,7 +165,6 @@ fn run_fleet(seed: u64, fleet: u32, ticks: u64, sweeps: &[(DispatchMode, Vec<usi
         };
         for &w in workers {
             let (report, stats, wall_s, phase_s) = run_cell(&cfg, w);
-            // Byte-identity gate: compare before any percentile query.
             let matches_reference = reference.as_ref().is_none_or(|r| *r == report);
             cells.push(Cell {
                 mode: *mode,
@@ -175,8 +182,8 @@ fn run_fleet(seed: u64, fleet: u32, ticks: u64, sweeps: &[(DispatchMode, Vec<usi
         }
     }
     let report = reference.expect("at least one cell swept");
-    let wait = quad(&mut report.wait_s.clone());
-    let travel = quad(&mut report.travel_s.clone());
+    let wait = quad(&report.wait_s);
+    let travel = quad(&report.travel_s);
     FleetRow {
         fleet,
         ticks,
@@ -184,6 +191,52 @@ fn run_fleet(seed: u64, fleet: u32, ticks: u64, sweeps: &[(DispatchMode, Vec<usi
         wait,
         travel,
         cells,
+    }
+}
+
+/// The serial large-map cell (gate 4).
+struct SprawlCell {
+    vehicles: u32,
+    grid: u32,
+    lanes: usize,
+    ticks: u64,
+    report: FleetReport,
+    stats: DispatchStats,
+    wall_s: f64,
+    phase_s: [f64; 4],
+}
+
+impl SprawlCell {
+    fn run(seed: u64, (vehicles, grid, ticks): (u32, u32, u64)) -> Self {
+        let cfg = FleetConfig {
+            seed,
+            ticks,
+            grid_rows: grid,
+            grid_cols: grid,
+            ..FleetConfig::perceptin_fleet(vehicles)
+        };
+        let lanes = FleetSim::new(cfg.clone()).table().len();
+        let (report, stats, wall_s, phase_s) = run_cell(&cfg, 0);
+        Self {
+            vehicles,
+            grid,
+            lanes,
+            ticks,
+            report,
+            stats,
+            wall_s,
+            phase_s,
+        }
+    }
+
+    /// Lanes settled per dispatched ride.
+    fn settled_per_ride(&self) -> f64 {
+        self.stats.settled_lanes as f64 / self.stats.dispatched.max(1) as f64
+    }
+
+    /// Gate 4: fewer settled lanes per ride than the map has lanes.
+    fn pass(&self) -> bool {
+        self.stats.dispatched > 0 && self.settled_per_ride() < self.lanes as f64
     }
 }
 
@@ -248,6 +301,7 @@ fn main() {
         .iter()
         .map(|&(fleet, ticks)| run_fleet(seed, fleet, ticks, &sweeps))
         .collect();
+    let sprawl = SprawlCell::run(seed, if smoke { SMOKE_SPRAWL } else { SPRAWL });
 
     let mut identical = true;
     let mut stats_invariant = true;
@@ -308,8 +362,13 @@ fn main() {
         }
         let s = &row.cells.first().expect("cells never empty").stats;
         println!(
-            "dispatch: {} assigned, {} requeued, {} fallback searches, route cache {}/{} hit/miss",
-            s.dispatched, s.requeues, s.fallback_searches, s.route_cache_hits, s.route_cache_misses,
+            "dispatch: {} assigned, {} requeued, {} fallback searches, route cache {}/{} hit/miss, {} lanes settled",
+            s.dispatched,
+            s.requeues,
+            s.fallback_searches,
+            s.route_cache_hits,
+            s.route_cache_misses,
+            s.settled_lanes,
         );
         println!(
             "economics: {:.3} kWh/ride, ${:.2}/ride, {:.2} h Eq. 2 driving time lost, charging {:.3}",
@@ -319,6 +378,25 @@ fn main() {
             row.report.charging_fraction,
         );
     }
+
+    sov_bench::section(&format!(
+        "large map: {} vehicles on the {g}×{g} grid ({} lanes) × {} ticks, serial — {} requests, {} rides",
+        sprawl.vehicles,
+        sprawl.lanes,
+        sprawl.ticks,
+        sprawl.report.requests,
+        sprawl.report.rides_completed,
+        g = sprawl.grid,
+    ));
+    println!(
+        "wall {:.2} s (dispatch {:.3} s, advance {:.3} s); {} route searches settled {} lanes for {} rides",
+        sprawl.wall_s,
+        sprawl.phase_s[1],
+        sprawl.phase_s[2],
+        sprawl.stats.route_cache_misses,
+        sprawl.stats.settled_lanes,
+        sprawl.stats.dispatched,
+    );
 
     // --- acceptance -------------------------------------------------------
     let widest = rows.last().expect("at least one fleet swept");
@@ -345,6 +423,14 @@ fn main() {
             if evals_ok { "PASS" } else { "FAIL" },
         );
     }
+    let sprawl_ok = sprawl.pass();
+    println!(
+        "large-map routing: {:.0} lanes settled per ride vs {} lanes on the map ({:.2} of the map, need < 1): {}",
+        sprawl.settled_per_ride(),
+        sprawl.lanes,
+        sprawl.settled_per_ride() / sprawl.lanes as f64,
+        if sprawl_ok { "PASS" } else { "FAIL" },
+    );
     let gate = gate_cell(widest);
     let serial_ix = widest
         .cells
@@ -386,7 +472,7 @@ fn main() {
             "  \"caveats\": [\n",
             "    \"wall_s, rides_per_sec, realtime_factor and phase_s are wall-clock and vary run to run\",\n",
             "    \"every simulated field is deterministic: byte-identical across dispatch modes and worker counts, witnessed by the checksum\",\n",
-            "    \"dispatch work counters (distance_evals, cache hits/misses, fallbacks, requeues) are deterministic and worker-invariant\",\n",
+            "    \"dispatch work counters (distance_evals, cache hits/misses, settled_lanes, fallbacks, requeues) are deterministic and worker-invariant\",\n",
             "    \"the throughput gate is enforced only when host_cores >= 3\"\n",
             "  ],\n"
         ));
@@ -405,7 +491,7 @@ fn main() {
                                 "\"phase_s\": {}, ",
                                 "\"distance_evals\": {}, \"dispatched\": {}, \"requeues\": {}, ",
                                 "\"fallback_searches\": {}, \"route_cache_hits\": {}, ",
-                                "\"route_cache_misses\": {}, ",
+                                "\"route_cache_misses\": {}, \"settled_lanes\": {}, ",
                                 "\"matches_reference\": {}}}"
                             ),
                             mode_name(c.mode),
@@ -420,6 +506,7 @@ fn main() {
                             c.stats.fallback_searches,
                             c.stats.route_cache_hits,
                             c.stats.route_cache_misses,
+                            c.stats.settled_lanes,
                             c.matches_reference,
                         )
                     })
@@ -459,6 +546,32 @@ fn main() {
             .collect();
         out.push_str(&fleet_rows.join(",\n"));
         out.push_str("\n  ],\n");
+        out.push_str(&format!(
+            concat!(
+                "  \"sprawl\": {{\"fleet\": {}, \"grid\": {}, \"lanes\": {}, \"ticks\": {}, ",
+                "\"workers\": 0, \"requests\": {}, \"rides_completed\": {}, ",
+                "\"checksum\": \"{:016x}\", \"wall_s\": {:.3}, \"phase_s\": {}, ",
+                "\"distance_evals\": {}, \"dispatched\": {}, \"route_cache_hits\": {}, ",
+                "\"route_cache_misses\": {}, \"settled_lanes\": {}, ",
+                "\"settled_per_ride\": {:.1}, \"pass\": {}}},\n"
+            ),
+            sprawl.vehicles,
+            sprawl.grid,
+            sprawl.lanes,
+            sprawl.ticks,
+            sprawl.report.requests,
+            sprawl.report.rides_completed,
+            sprawl.report.checksum,
+            sprawl.wall_s,
+            phase_json(sprawl.phase_s),
+            sprawl.stats.distance_evals,
+            sprawl.stats.dispatched,
+            sprawl.stats.route_cache_hits,
+            sprawl.stats.route_cache_misses,
+            sprawl.stats.settled_lanes,
+            sprawl.settled_per_ride(),
+            sprawl_ok,
+        ));
         if let Some((lin, idx)) = evals {
             out.push_str(&format!(
                 concat!(
@@ -504,6 +617,10 @@ fn main() {
     }
     if !evals_ok {
         eprintln!("perf gate: indexed dispatch must cut distance evaluations at least 2x");
+        std::process::exit(1);
+    }
+    if !sprawl_ok {
+        eprintln!("routing gate: large-map rides must settle fewer lanes than the map has");
         std::process::exit(1);
     }
     if host_cores >= 3 && !gate_ok {

@@ -171,7 +171,7 @@ fn ms(d: Duration) -> f64 {
 
 /// `[p50, p99, p99.9, max]` of a summary, the four points every
 /// attribution column reports.
-fn quad(s: &mut Summary) -> [f64; 4] {
+fn quad(s: &Summary) -> [f64; 4] {
     [s.percentile(50.0), s.p99(), s.p999(), s.max()]
 }
 
@@ -193,7 +193,7 @@ fn replay_split(run: &PipelineRun) -> [[f64; 4]; 3] {
         queue.record(a.queue_ns as f64 / 1e6);
         stall.record(a.stall_ns as f64 / 1e6);
     }
-    [quad(&mut compute), quad(&mut queue), quad(&mut stall)]
+    [quad(&compute), quad(&queue), quad(&stall)]
 }
 
 /// The same four-point split lifted out of a drive's [`TailReport`],
@@ -214,16 +214,16 @@ struct DriveTail {
 
 impl DriveTail {
     fn of(tail: &TailReport) -> Self {
-        let mut t = tail.clone();
-        let stage = |s: &mut [Summary; 3]| [s[0].p999(), s[1].p999(), s[2].p999()];
+        let t = tail;
+        let stage = |s: &[Summary; 3]| [s[0].p999(), s[1].p999(), s[2].p999()];
         Self {
-            total: quad(&mut t.total_ms),
-            compute: quad(&mut t.compute_ms),
-            queue: quad(&mut t.queue_ms),
-            stall: quad(&mut t.stall_ms),
-            stage_p999_compute: stage(&mut t.stage_compute_ms),
-            stage_p999_queue: stage(&mut t.stage_queue_ms),
-            stage_p999_stall: stage(&mut t.stage_stall_ms),
+            total: quad(&t.total_ms),
+            compute: quad(&t.compute_ms),
+            queue: quad(&t.queue_ms),
+            stall: quad(&t.stall_ms),
+            stage_p999_compute: stage(&t.stage_compute_ms),
+            stage_p999_queue: stage(&t.stage_queue_ms),
+            stage_p999_stall: stage(&t.stage_stall_ms),
             max_residual_ns: t.max_residual_ns,
             priority_drains: t.priority_drains,
             sheds: t.sheds,

@@ -88,7 +88,8 @@ impl Characterization {
     }
 
     /// Fig. 10a row: `(best, mean, p99)` of the computing latency (ms).
-    pub fn computing_row(&mut self) -> (f64, f64, f64) {
+    #[must_use]
+    pub fn computing_row(&self) -> (f64, f64, f64) {
         (
             self.computing.min(),
             self.computing.mean(),
@@ -98,7 +99,7 @@ impl Characterization {
 
     /// Minimum avoidable obstacle distance (m) at the mean computing
     /// latency (Sec. III-A's "5 m" headline at 164 ms).
-    pub fn avoidable_distance_mean_m(&mut self, config: &VehicleConfig) -> f64 {
+    pub fn avoidable_distance_mean_m(&self, config: &VehicleConfig) -> f64 {
         config
             .latency_budget()
             .min_avoidable_distance_m(self.computing.mean() / 1000.0)
@@ -106,7 +107,7 @@ impl Characterization {
 
     /// Minimum avoidable obstacle distance (m) at the worst observed
     /// latency.
-    pub fn avoidable_distance_worst_m(&mut self, config: &VehicleConfig) -> f64 {
+    pub fn avoidable_distance_worst_m(&self, config: &VehicleConfig) -> f64 {
         config
             .latency_budget()
             .min_avoidable_distance_m(self.computing.max() / 1000.0)
@@ -126,7 +127,7 @@ mod tests {
 
     #[test]
     fn fig10a_shape_holds() {
-        let (_, mut c) = characterize(6000);
+        let (_, c) = characterize(6000);
         let (best, mean, p99) = c.computing_row();
         assert!(best < mean && mean < p99, "{best} < {mean} < {p99}");
         // Sec. V-C: "the mean latency (164 ms) is close to the best-case
@@ -148,7 +149,7 @@ mod tests {
     #[test]
     fn localization_statistics_match_sec5c() {
         // Sec. V-C: localization median ≈ 25 ms, σ ≈ 14 ms.
-        let (_, mut c) = characterize(6000);
+        let (_, c) = characterize(6000);
         let median = c.localization.median();
         let std = c.localization.std_dev();
         assert!((15.0..40.0).contains(&median), "median {median}");
@@ -157,7 +158,7 @@ mod tests {
 
     #[test]
     fn avoidance_distances() {
-        let (config, mut c) = characterize(6000);
+        let (config, c) = characterize(6000);
         let mean_d = c.avoidable_distance_mean_m(&config);
         let worst_d = c.avoidable_distance_worst_m(&config);
         // ≈5 m at the mean latency; worst-case needs several meters more.

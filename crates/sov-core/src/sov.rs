@@ -1759,7 +1759,7 @@ mod tests {
         let mut scenario = Scenario::fishers_indiana(5);
         scenario.world.obstacles.clear();
         let mut sov = Sov::new(VehicleConfig::perceptin_pod(), 5);
-        let mut report = sov.drive(&scenario, 200).unwrap();
+        let report = sov.drive(&scenario, 200).unwrap();
         assert_eq!(report.computing.len(), report.frames as usize);
         let mean = report.computing.mean();
         assert!((120.0..220.0).contains(&mean), "mean computing {mean} ms");

@@ -1,35 +1,47 @@
 //! Sparse on-demand routing over a [`LaneMap`] for fleet dispatch.
 //!
 //! The dispatcher and every vehicle tick need three queries — "how far is
-//! vehicle V from pickup P", "move V a few meters along the shortest path
-//! to P", and "give me a uniformly random position" — millions of times per
-//! simulated day. The 0.9.0 engine answered them from a dense all-pairs
-//! matrix: O(n³) scan-Dijkstra at construction and O(n²) memory, which is
-//! exactly what capped the map size. This version keeps the same query
-//! semantics but stores only the graph: lanes re-indexed `0..n` in
-//! ascending [`LaneId`] order, forward **and reverse** adjacency in CSR
-//! form, and a cumulative-length table for `O(log n)` position sampling.
+//! vehicle V from pickup P", "which lanes does V drive to reach P", and
+//! "give me a uniformly random position" — millions of times per
+//! simulated day. The table stores only the graph: lanes re-indexed `0..n`
+//! in ascending [`LaneId`] order, forward **and reverse** adjacency in CSR
+//! form, each lane's start point, and a cumulative-length table for
+//! `O(log n)` position sampling.
 //!
-//! Distances come from [`RouteField`]s computed on demand: one binary-heap
-//! Dijkstra over the *reverse* graph per destination lane — O(E log N) —
-//! yields the distance from the start of **every** lane to that
-//! destination, which is precisely the shape dispatch (many vehicles, one
-//! pickup) and per-tick motion (`next_hop` toward one destination) consume.
-//! Fields are memoized by [`RouteCache`], whose capacity and FIFO eviction
-//! order are fixed by config and mutated only on serial phases — cache
-//! state is a pure function of the request/trip sequence, never of worker
-//! timing, so sharded runs reproduce the serial reference byte for byte.
+//! Route queries are answered two ways, with bit-identical results:
 //!
-//! The heap Dijkstra pops in `(distance, lane)` order via `f64::total_cmp`
-//! and relaxes predecessor lists in CSR order, so two tables built from
-//! equal maps produce bit-identical fields — the same total-tie-break
-//! discipline the dense matrix had.
+//! * a [`RouteField`] ([`RouteTable::field_to`]): one reverse binary-heap
+//!   Dijkstra per destination lane, the distance from the start of
+//!   **every** lane to it. [`RouteCache`] keeps every lane's field
+//!   resident when they all fit its byte budget (small maps), and keeps
+//!   none otherwise;
+//! * a **goal-directed leg** ([`RouteTable::route`]): a reverse A\* from
+//!   the destination toward the successors of the query's start lane,
+//!   keyed `d(u) + h(u)` with `h(u) = (1 − 10⁻⁹)·|end(from) − start(u)|`.
+//!   On a contiguous map (`max_connection_gap_m() == 0`) the straight line
+//!   never exceeds the driving distance, so `h` is consistent, and the
+//!   search stops only once the next key exceeds the best successor
+//!   distance: every lane whose value or tie the query reads is settled
+//!   exactly as the full field settles it (DESIGN.md §15). On a gapped map
+//!   the same search runs without the bound and settles every lane.
+//!
+//! A ride never holds a field: dispatch turns each leg into its lane path
+//! (the successors [`RouteTable::advance_with`] enters, first-minimal
+//! tie-break included), so per-tick motion reads no routing state at all.
+//!
+//! Every search pops in `(key, lane)` order via `f64::total_cmp` and
+//! relaxes predecessor lists in CSR order, so equal maps produce
+//! bit-identical distances and paths on every platform.
 
 use sov_math::Pose2;
 use sov_world::map::{Lane, LaneId, LaneMap};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::collections::BinaryHeap;
+
+/// Scale of the A\* heuristic: a hair under one, so that `sqrt` rounding
+/// in the straight-line bound can never lift it above the driving
+/// distance it bounds (DESIGN.md §15).
+const HEURISTIC_SCALE: f64 = 1.0 - 1e-9;
 
 /// A position on the network: dense lane index plus arclength within it.
 ///
@@ -71,8 +83,7 @@ pub struct Bounds {
 /// a lane costs its centerline length.
 ///
 /// Produced by [`RouteTable::field_to`] (one reverse Dijkstra, O(E log N))
-/// and shared via `Arc` between the dispatcher, the cache, and the
-/// assignment that carries it for the ride's lifetime.
+/// and kept by a resident [`RouteCache`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouteField {
     dest: u32,
@@ -97,12 +108,14 @@ impl RouteField {
     }
 }
 
-/// Heap entry for the reverse Dijkstra. Ordered so the [`BinaryHeap`]
-/// (a max-heap) pops the smallest `(distance, lane)` pair first — the
-/// lane tie-break makes the pop order total and platform-independent.
+/// Heap entry for the reverse searches. Ordered so the [`BinaryHeap`] (a
+/// max-heap) pops the smallest `(key, lane)` pair first — the lane
+/// tie-break makes the pop order total and platform-independent. `g` is
+/// the distance the entry was pushed with (`key − g` is the heuristic).
 #[derive(Debug, PartialEq)]
 struct Visit {
-    d: f64,
+    key: f64,
+    g: f64,
     lane: u32,
 }
 
@@ -111,8 +124,8 @@ impl Eq for Visit {}
 impl Ord for Visit {
     fn cmp(&self, other: &Self) -> Ordering {
         other
-            .d
-            .total_cmp(&self.d)
+            .key
+            .total_cmp(&self.key)
             .then_with(|| other.lane.cmp(&self.lane))
     }
 }
@@ -120,6 +133,62 @@ impl Ord for Visit {
 impl PartialOrd for Visit {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
+    }
+}
+
+/// Reusable state of the reverse searches: tentative distances (reset
+/// through a touched list, never an O(n) clear), the heap, and work
+/// counters. One scratch serves one search at a time; a search leaves its
+/// distances in place until the next one starts.
+#[derive(Debug, Default)]
+pub struct RouteScratch {
+    /// Tentative distance start(u) → start(destination); `∞` where the
+    /// last search never reached.
+    dist: Vec<f64>,
+    touched: Vec<u32>,
+    heap: BinaryHeap<Visit>,
+    searches: u64,
+    settled: u64,
+}
+
+impl RouteScratch {
+    /// An empty scratch; its buffers grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Searches run in this scratch.
+    #[must_use]
+    pub fn searches(&self) -> u64 {
+        self.searches
+    }
+
+    /// Lanes settled (popped with their final distance) by every search
+    /// run in this scratch.
+    #[must_use]
+    pub fn settled_lanes(&self) -> u64 {
+        self.settled
+    }
+
+    /// Zeroes the work counters.
+    pub fn reset_counters(&mut self) {
+        self.searches = 0;
+        self.settled = 0;
+    }
+
+    /// Prepares for a search over `n` lanes: every distance `∞`, empty heap.
+    fn reset(&mut self, n: usize) {
+        if self.dist.len() == n {
+            for &u in &self.touched {
+                self.dist[u as usize] = f64::INFINITY;
+            }
+        } else {
+            self.dist.clear();
+            self.dist.resize(n, f64::INFINITY);
+        }
+        self.touched.clear();
+        self.heap.clear();
     }
 }
 
@@ -138,6 +207,8 @@ pub struct RouteTable {
     pred: Vec<u32>,
     /// Centerline length per lane (meters), parallel to `lanes`.
     len_m: Vec<f64>,
+    /// First centerline vertex per lane (the A\* heuristic's geometry).
+    start_xy: Vec<(f64, f64)>,
     /// `cum[i]` = total length of lanes `0..i`; `cum[n]` = network length.
     cum: Vec<f64>,
     /// Centerline bounding box (spatial-index geometry).
@@ -197,6 +268,10 @@ impl RouteTable {
             }
         }
         let len_m: Vec<f64> = lanes.iter().map(Lane::length_m).collect();
+        let start_xy: Vec<(f64, f64)> = lanes
+            .iter()
+            .map(|l| *l.centerline().first().expect("non-empty centerline"))
+            .collect();
         let mut cum = Vec::with_capacity(n + 1);
         cum.push(0.0);
         for &l in &len_m {
@@ -231,6 +306,7 @@ impl RouteTable {
             pred_off,
             pred,
             len_m,
+            start_xy,
             cum,
             bounds: Bounds {
                 min_x,
@@ -377,28 +453,194 @@ impl RouteTable {
     /// Panics if `dest` is out of range.
     #[must_use]
     pub fn field_to(&self, dest: u32) -> RouteField {
-        let n = self.lanes.len();
-        assert!((dest as usize) < n, "destination lane out of range");
-        let mut dist = vec![f64::INFINITY; n];
-        let mut heap = BinaryHeap::with_capacity(64);
-        dist[dest as usize] = 0.0;
-        heap.push(Visit { d: 0.0, lane: dest });
-        while let Some(Visit { d, lane }) = heap.pop() {
-            if d > dist[lane as usize] {
+        assert!(
+            (dest as usize) < self.lanes.len(),
+            "destination lane out of range"
+        );
+        let mut scratch = RouteScratch::new();
+        self.reverse_search(dest, None, &mut scratch);
+        RouteField {
+            dest,
+            dist: scratch.dist,
+        }
+    }
+
+    /// The reverse search behind every route query, writing distances
+    /// start(u) → start(`dest`) into `sc`, and returning the smallest of
+    /// them over the successors of `toward` (`∞` without `toward`).
+    ///
+    /// Without `toward`, or on a map with connection gaps, it is the full
+    /// Dijkstra and settles every lane. With `toward` on a contiguous map
+    /// it is A\* keyed `d(u) + h(u)`, `h(u) = (1 − 10⁻⁹)·|end(toward) −
+    /// start(u)|`, and stops once the next key exceeds the best successor
+    /// distance found. `h` is consistent there (a lane's chord never
+    /// exceeds its arc and `end(u) = start(successor)`; the 10⁻⁹ slack
+    /// covers `sqrt` rounding), so every lane popped holds its exact field
+    /// value, and every lane whose value or tie `toward`'s route reads has
+    /// a key below the stopping key — see DESIGN.md §15.
+    fn reverse_search(&self, dest: u32, toward: Option<u32>, sc: &mut RouteScratch) -> f64 {
+        sc.reset(self.lanes.len());
+        sc.searches += 1;
+        let (goal, targets) = match toward {
+            Some(a) => {
+                let end = *self.lanes[a as usize]
+                    .centerline()
+                    .last()
+                    .expect("non-empty centerline");
+                ((self.max_gap_m == 0.0).then_some(end), self.successors(a))
+            }
+            None => (None, &[][..]),
+        };
+        let h = |u: u32| {
+            goal.map_or(0.0, |(ex, ey)| {
+                let (sx, sy) = self.start_xy[u as usize];
+                HEURISTIC_SCALE * ((sx - ex).powi(2) + (sy - ey).powi(2)).sqrt()
+            })
+        };
+        let mut best = if targets.contains(&dest) {
+            0.0
+        } else {
+            f64::INFINITY
+        };
+        sc.dist[dest as usize] = 0.0;
+        sc.touched.push(dest);
+        sc.heap.push(Visit {
+            key: h(dest),
+            g: 0.0,
+            lane: dest,
+        });
+        while let Some(top) = sc.heap.peek() {
+            // Past the best successor distance every lane the answer
+            // reads is settled (DESIGN.md §15).
+            if goal.is_some() && top.key > best {
+                break;
+            }
+            let Visit { g, lane, .. } = sc.heap.pop().expect("peeked above");
+            if g > sc.dist[lane as usize] {
                 continue; // stale entry, already settled closer
             }
+            sc.settled += 1;
             let lane = lane as usize;
             for &u in &self.pred[self.pred_off[lane] as usize..self.pred_off[lane + 1] as usize] {
                 // Arriving at `lane`'s start from `u`'s start costs `u`'s
-                // full length — same edge weights as the dense build.
-                let cand = self.len_m[u as usize] + d;
-                if cand < dist[u as usize] {
-                    dist[u as usize] = cand;
-                    heap.push(Visit { d: cand, lane: u });
+                // full length.
+                let cand = self.len_m[u as usize] + g;
+                if cand < sc.dist[u as usize] {
+                    if sc.dist[u as usize] == f64::INFINITY {
+                        sc.touched.push(u);
+                    }
+                    sc.dist[u as usize] = cand;
+                    sc.heap.push(Visit {
+                        key: cand + h(u),
+                        g: cand,
+                        lane: u,
+                    });
+                    if cand < best && targets.contains(&u) {
+                        best = cand;
+                    }
                 }
             }
         }
-        RouteField { dest, dist }
+        best
+    }
+
+    /// Shortest driving distance from `from` to `to`, answered by one
+    /// goal-directed leg search in `sc` (no field is built or kept).
+    ///
+    /// Bit-identical to [`RouteTable::travel_distance_with`] over the full
+    /// field for `to.lane`. A `from` at or before `to` on the same lane
+    /// needs no search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane index is out of range.
+    pub fn route(&self, from: FleetPos, to: FleetPos, sc: &mut RouteScratch) -> f64 {
+        if from.lane == to.lane && from.s <= to.s {
+            return to.s - from.s;
+        }
+        let best = self.reverse_search(to.lane, Some(from.lane), sc);
+        (self.lane_length(from.lane) - from.s) + best + to.s
+    }
+
+    /// [`RouteTable::route`], also writing the leg's lane path into `out`:
+    /// the lanes [`RouteTable::advance_with`] enters, identical to
+    /// [`RouteTable::path_with`] over the full field.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane index is out of range.
+    pub fn route_path(
+        &self,
+        from: FleetPos,
+        to: FleetPos,
+        sc: &mut RouteScratch,
+        out: &mut Vec<u32>,
+    ) -> f64 {
+        let d = self.route(from, to, sc);
+        self.walk(from, to, |s| sc.dist[s as usize], out);
+        d
+    }
+
+    /// Writes into `out` the lanes a vehicle at `from` enters on its way
+    /// to `to`, following `field` (compiled for `to.lane`): each lane's
+    /// first successor of minimal distance, ending with `to.lane`; empty
+    /// when `to` lies ahead on `from`'s lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane index is out of range, or (debug builds) if
+    /// `field` routes elsewhere.
+    pub fn path_with(&self, from: FleetPos, to: FleetPos, field: &RouteField, out: &mut Vec<u32>) {
+        debug_assert_eq!(
+            field.dest(),
+            to.lane,
+            "field compiled for a different destination lane"
+        );
+        self.walk(from, to, |s| field.to_start(s), out);
+    }
+
+    /// The lane path from `from` to `to` ([`RouteTable::path_with`]).
+    ///
+    /// Convenience for tests and offline callers: computes a fresh field
+    /// per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either lane index is out of range.
+    #[must_use]
+    pub fn path(&self, from: FleetPos, to: FleetPos) -> Vec<u32> {
+        let mut out = Vec::new();
+        self.path_with(from, to, &self.field_to(to.lane), &mut out);
+        out
+    }
+
+    /// The shortest-path walk shared by fields and leg searches: from
+    /// `from.lane`, repeatedly the first successor of minimal `dist`,
+    /// until `to.lane` is entered. Each hop strictly lowers `dist`, so the
+    /// walk ends.
+    fn walk(&self, from: FleetPos, to: FleetPos, dist: impl Fn(u32) -> f64, out: &mut Vec<u32>) {
+        out.clear();
+        if from.lane == to.lane && from.s <= to.s {
+            return;
+        }
+        let mut lane = from.lane;
+        loop {
+            let mut best = f64::INFINITY;
+            let mut hop = u32::MAX;
+            for &s in self.successors(lane) {
+                let d = dist(s);
+                if d < best {
+                    best = d;
+                    hop = s;
+                }
+            }
+            assert!(hop != u32::MAX, "strongly connected maps have no dead ends");
+            out.push(hop);
+            if hop == to.lane {
+                return;
+            }
+            lane = hop;
+        }
     }
 
     /// Shortest distance from the start of lane `a` to the start of lane
@@ -459,7 +701,8 @@ impl RouteTable {
     /// Shortest driving distance from `from` to `to` along the lane graph.
     ///
     /// Convenience for tests and offline callers: computes a fresh field
-    /// per call. Hot paths use [`RouteTable::travel_distance_with`].
+    /// per call. Hot paths use [`RouteTable::travel_distance_with`] or
+    /// [`RouteTable::route`].
     ///
     /// # Panics
     ///
@@ -472,56 +715,30 @@ impl RouteTable {
         self.travel_distance_with(from, to, &self.field_to(to.lane))
     }
 
-    /// The successor of `lane` on the shortest path toward the field's
-    /// destination, tie-broken on the first minimal entry of the lane's
-    /// successor list (the dense build's tie-break, unchanged).
+    /// Moves `pos` up to `budget_m` meters toward `dest` along a lane path
+    /// from [`RouteTable::route_path`] or [`RouteTable::path_with`]:
+    /// `path[*hop]` is the next lane to enter, and `*hop` advances past
+    /// every lane entered. Arrival is exact: when the destination lies
+    /// within the budget, `pos` is set to `dest` bit-for-bit and
+    /// [`Advance::arrived`] is `true`.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range, or if it has no successors
-    /// (impossible for a strongly connected map).
-    #[must_use]
-    pub fn next_hop_with(&self, lane: u32, field: &RouteField) -> u32 {
-        let mut best = f64::INFINITY;
-        let mut hop = u32::MAX;
-        for &s in self.successors(lane) {
-            let d = field.to_start(s);
-            if d < best {
-                best = d;
-                hop = s;
-            }
-        }
-        assert!(hop != u32::MAX, "strongly connected maps have no dead ends");
-        hop
-    }
-
-    /// Moves `pos` up to `budget_m` meters along the shortest path to
-    /// `dest`, routed by a field for `dest.lane`. Arrival is exact: when
-    /// the destination lies within the budget, `pos` is set to `dest`
-    /// bit-for-bit and [`Advance::arrived`] is `true`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane index is out of range or `budget_m` is negative
-    /// (debug builds), or (debug builds) if `field` routes elsewhere.
+    /// Panics if the path runs out before `dest.lane`, or (debug builds)
+    /// if `budget_m` is negative.
     pub fn advance_with(
         &self,
         pos: &mut FleetPos,
         dest: FleetPos,
         budget_m: f64,
-        field: &RouteField,
+        path: &[u32],
+        hop: &mut usize,
     ) -> Advance {
         debug_assert!(budget_m >= 0.0, "advance budget cannot be negative");
-        debug_assert_eq!(
-            field.dest(),
-            dest.lane,
-            "field compiled for a different destination lane"
-        );
         let mut budget = budget_m;
         let mut moved = 0.0;
-        // Each iteration either exhausts the budget or crosses into the
-        // next lane of a shortest path, whose remaining distance strictly
-        // decreases — the loop terminates without an explicit cap.
+        // Each iteration either exhausts the budget or enters the next
+        // lane of the path, which ends at the destination lane.
         loop {
             if pos.lane == dest.lane && pos.s <= dest.s {
                 let gap = dest.s - pos.s;
@@ -548,100 +765,156 @@ impl RouteTable {
             }
             moved += remain;
             budget -= remain;
-            pos.lane = self.next_hop_with(pos.lane, field);
+            pos.lane = *path
+                .get(*hop)
+                .expect("a leg's path ends at its destination lane");
+            *hop += 1;
             pos.s = 0.0;
         }
     }
 }
 
-/// Deterministic bounded memo of [`RouteField`]s, keyed by destination
-/// lane.
-///
-/// Capacity is counted in fields; a fleet sizes it from a memory budget
-/// with [`RouteCache::fields_within`] (a field costs 8 B per lane, so one
-/// budget keeps a small map fully resident and bounds a large one).
-/// Capacity and eviction are fixed by config, not access timing: slots
-/// evict in strict FIFO **insertion** order (a hit never reorders), and
-/// the cache is touched only on the serial phases of the fleet tick —
-/// so its state after tick T is a pure function of the request/trip
-/// sequence, identical for every worker count. `usize::MAX` capacity
-/// means "never evict"; `0` disables memoization entirely (every call
-/// recomputes).
+/// Where a route query toward one destination lane is answered: its
+/// resident [`RouteField`], or goal-directed leg searches in a scratch.
+/// Both give bit-identical distances and paths.
 #[derive(Debug)]
-pub struct RouteCache {
-    capacity: usize,
-    /// Slot per lane (dense index) — O(1) lookup, no hash order anywhere.
-    slots: Vec<Option<Arc<RouteField>>>,
-    /// Destinations currently resident, oldest first.
-    fifo: VecDeque<u32>,
-    hits: u64,
-    misses: u64,
+pub enum RouteTo<'a> {
+    /// The destination's resident field.
+    Field(&'a RouteField),
+    /// One [`RouteTable::route`] search per query, in this scratch.
+    Search(&'a mut RouteScratch),
 }
 
-impl RouteCache {
-    /// Creates an empty cache for `table` holding at most `capacity`
-    /// compiled fields.
-    #[must_use]
-    pub fn new(table: &RouteTable, capacity: usize) -> Self {
-        Self {
-            capacity,
-            slots: vec![None; table.len()],
-            fifo: VecDeque::new(),
-            hits: 0,
-            misses: 0,
+impl RouteTo<'_> {
+    /// Shortest driving distance `from` → `to` (`to.lane` must be the
+    /// destination this value routes toward).
+    pub fn distance(&mut self, table: &RouteTable, from: FleetPos, to: FleetPos) -> f64 {
+        match self {
+            Self::Field(f) => table.travel_distance_with(from, to, f),
+            Self::Search(sc) => table.route(from, to, sc),
         }
     }
 
-    /// The capacity a memory budget of `budget_bytes` buys on `table`:
-    /// `budget / (8 · lanes)` fields, capped at the lane count (there is
-    /// one field per destination lane to hold). Fields pinned by live
-    /// assignments after eviction are not counted.
+    /// Writes the lane path `from` → `to` into `out`.
+    pub fn path_into(
+        &mut self,
+        table: &RouteTable,
+        from: FleetPos,
+        to: FleetPos,
+        out: &mut Vec<u32>,
+    ) {
+        match self {
+            Self::Field(f) => table.path_with(from, to, f, out),
+            Self::Search(sc) => {
+                table.route_path(from, to, sc, out);
+            }
+        }
+    }
+}
+
+/// Deterministic, all-or-nothing memo of [`RouteField`]s, keyed by
+/// destination lane, plus the scratch for searches run on the serial
+/// phases.
+///
+/// A field costs 8 B per lane, so a map of `n` lanes needs `8·n²` bytes
+/// to keep every field. When the byte budget covers that, fields fill
+/// lazily and stay resident (the 12×12 grid: 2.2 MB); otherwise none is
+/// kept (the 40×40 grid would need 311 MB) and every query is a
+/// goal-directed leg search. The cache is touched only on the serial
+/// phases of the fleet tick, so its state after tick T is a pure function
+/// of the request/trip sequence, identical for every worker count.
+#[derive(Debug)]
+pub struct RouteCache {
+    /// One slot per lane when resident; empty otherwise.
+    slots: Vec<Option<RouteField>>,
+    len: usize,
+    scratch: RouteScratch,
+    hits: u64,
+    fills: u64,
+}
+
+impl RouteCache {
+    /// Creates an empty cache for `table` that keeps fields resident iff
+    /// every lane's field fits `budget_bytes` ([`RouteCache::fits`]).
     #[must_use]
-    pub fn fields_within(table: &RouteTable, budget_bytes: usize) -> usize {
-        let field_bytes = std::mem::size_of::<f64>() * table.len();
-        (budget_bytes / field_bytes).min(table.len())
+    pub fn new(table: &RouteTable, budget_bytes: usize) -> Self {
+        let slots = if Self::fits(table, budget_bytes) {
+            std::iter::repeat_with(|| None).take(table.len()).collect()
+        } else {
+            Vec::new()
+        };
+        Self {
+            slots,
+            len: 0,
+            scratch: RouteScratch::new(),
+            hits: 0,
+            fills: 0,
+        }
     }
 
-    /// Returns the field toward `dest`, computing (and, capacity
-    /// permitting, memoizing) it on a miss.
+    /// Whether `budget_bytes` holds a field for every lane of `table`
+    /// (`8 · lanes²` bytes).
+    #[must_use]
+    pub fn fits(table: &RouteTable, budget_bytes: usize) -> bool {
+        let field_bytes = std::mem::size_of::<f64>() * table.len();
+        budget_bytes / field_bytes >= table.len()
+    }
+
+    /// Whether fields are kept resident.
+    #[must_use]
+    pub fn is_resident(&self) -> bool {
+        !self.slots.is_empty()
+    }
+
+    /// Serial-phase query toward `dest`: its resident field (computed on
+    /// first use; one hit or miss per call), or, when not resident, leg
+    /// searches in the cache's own scratch.
     ///
     /// # Panics
     ///
     /// Panics if `dest` is out of range for `table`.
-    pub fn field(&mut self, table: &RouteTable, dest: u32) -> Arc<RouteField> {
-        if let Some(f) = &self.slots[dest as usize] {
+    pub fn to(&mut self, table: &RouteTable, dest: u32) -> RouteTo<'_> {
+        if self.slots.is_empty() {
+            return RouteTo::Search(&mut self.scratch);
+        }
+        let slot = &mut self.slots[dest as usize];
+        if slot.is_some() {
             self.hits += 1;
-            return Arc::clone(f);
+        } else {
+            self.fills += 1;
+            self.len += 1;
         }
-        self.misses += 1;
-        let field = Arc::new(table.field_to(dest));
-        if self.capacity > 0 {
-            while self.fifo.len() >= self.capacity {
-                let evict = self.fifo.pop_front().expect("len checked");
-                self.slots[evict as usize] = None;
-            }
-            self.slots[dest as usize] = Some(Arc::clone(&field));
-            self.fifo.push_back(dest);
+        RouteTo::Field(slot.get_or_insert_with(|| table.field_to(dest)))
+    }
+
+    /// Read-only query toward `dest` for a parallel stage: the resident
+    /// field if one is held, else leg searches in the caller's `scratch`.
+    /// Never fills and counts nothing.
+    #[must_use]
+    pub fn shared_to<'a>(&'a self, dest: u32, scratch: &'a mut RouteScratch) -> RouteTo<'a> {
+        match self.resident(dest) {
+            Some(field) => RouteTo::Field(field),
+            None => RouteTo::Search(scratch),
         }
-        field
+    }
+
+    /// The resident field toward `dest`, if held (read-only: never fills
+    /// and counts nothing).
+    #[must_use]
+    pub fn resident(&self, dest: u32) -> Option<&RouteField> {
+        self.slots.get(dest as usize).and_then(Option::as_ref)
     }
 
     /// Fields currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.fifo.len()
+        self.len
     }
 
     /// Whether no field is resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
-    }
-
-    /// Configured capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        self.len == 0
     }
 
     /// Lookups served from a resident field.
@@ -650,10 +923,16 @@ impl RouteCache {
         self.hits
     }
 
-    /// Lookups that ran a fresh Dijkstra.
+    /// Searches run: field fills plus leg searches in the cache's scratch.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.fills + self.scratch.searches()
+    }
+
+    /// Lanes settled by those searches (a full field settles every lane).
+    #[must_use]
+    pub fn settled_lanes(&self) -> u64 {
+        self.fills * self.slots.len() as u64 + self.scratch.settled_lanes()
     }
 }
 
@@ -759,23 +1038,29 @@ mod tests {
         }
     }
 
+    /// Drives `pos` to `dest` in `step`-meter ticks along the field path.
+    fn drive(t: &RouteTable, pos: &mut FleetPos, dest: FleetPos, step: f64) -> (f64, bool) {
+        let path = t.path(*pos, dest);
+        let mut hop = 0;
+        let mut moved = 0.0;
+        for _ in 0..10_000 {
+            let a = t.advance_with(pos, dest, step, &path, &mut hop);
+            moved += a.moved_m;
+            if a.arrived {
+                assert_eq!(hop, path.len(), "arrival must consume the whole path");
+                return (moved, true);
+            }
+        }
+        (moved, false)
+    }
+
     #[test]
     fn advance_reaches_destination_exactly() {
         let t = table();
         let dest = t.sample(0.73);
-        let field = t.field_to(dest.lane);
         let mut pos = t.sample(0.11);
         let total = t.travel_distance(pos, dest);
-        let mut moved = 0.0;
-        let mut arrived = false;
-        for _ in 0..10_000 {
-            let a = t.advance_with(&mut pos, dest, 7.0, &field);
-            moved += a.moved_m;
-            if a.arrived {
-                arrived = true;
-                break;
-            }
-        }
+        let (moved, arrived) = drive(&t, &mut pos, dest, 7.0);
         assert!(arrived, "never arrived");
         assert_eq!(pos, dest, "arrival must be exact");
         assert!(
@@ -785,14 +1070,33 @@ mod tests {
     }
 
     #[test]
+    fn same_lane_behind_loops_around() {
+        let t = table();
+        let dest = FleetPos { lane: 4, s: 10.0 };
+        let mut pos = FleetPos { lane: 4, s: 30.0 };
+        assert_eq!(
+            t.path(dest, FleetPos { lane: 4, s: 30.0 }),
+            Vec::<u32>::new()
+        );
+        let path = t.path(pos, dest);
+        assert_eq!(path.last(), Some(&4), "the loop ends on the start lane");
+        let total = t.travel_distance(pos, dest);
+        let (moved, arrived) = drive(&t, &mut pos, dest, 5.0);
+        assert!(arrived && pos == dest);
+        assert!((moved - total).abs() < 1e-6, "moved {moved} vs {total}");
+    }
+
+    #[test]
     fn advance_zero_budget_is_a_no_op() {
         let t = table();
         let dest = t.sample(0.9);
-        let field = t.field_to(dest.lane);
         let mut pos = t.sample(0.4);
+        let path = t.path(pos, dest);
         let before = pos;
-        let a = t.advance_with(&mut pos, dest, 0.0, &field);
+        let mut hop = 0;
+        let a = t.advance_with(&mut pos, dest, 0.0, &path, &mut hop);
         assert_eq!(pos, before);
+        assert_eq!(hop, 0);
         assert_eq!(a.moved_m, 0.0);
         assert!(!a.arrived);
     }
@@ -801,11 +1105,34 @@ mod tests {
     fn advance_already_there() {
         let t = table();
         let dest = t.sample(0.5);
-        let field = t.field_to(dest.lane);
         let mut pos = dest;
-        let a = t.advance_with(&mut pos, dest, 3.0, &field);
+        let a = t.advance_with(&mut pos, dest, 3.0, &[], &mut 0);
         assert!(a.arrived);
         assert_eq!(a.moved_m, 0.0);
+    }
+
+    #[test]
+    fn leg_search_matches_the_full_field_and_settles_less() {
+        let t = RouteTable::new(&grid_network(12, 12, 80.0, 2.5, 8.0));
+        let mut sc = RouteScratch::new();
+        let mut path = Vec::new();
+        for q in 0..200u32 {
+            let from = t.sample(f64::from(q) * 0.618_033_988_7 % 1.0);
+            let to = t.sample(f64::from(q) * 0.414_213_562_3 % 1.0);
+            let field = t.field_to(to.lane);
+            let d = t.route_path(from, to, &mut sc, &mut path);
+            let want = t.travel_distance_with(from, to, &field);
+            assert_eq!(d.to_bits(), want.to_bits(), "query {q}: {d} vs {want}");
+            let mut want_path = Vec::new();
+            t.path_with(from, to, &field, &mut want_path);
+            assert_eq!(path, want_path, "query {q}");
+        }
+        let per_search = sc.settled_lanes() as f64 / sc.searches() as f64;
+        assert!(
+            per_search < 0.5 * t.len() as f64,
+            "A* settled {per_search:.0} of {} lanes per leg",
+            t.len()
+        );
     }
 
     #[test]
@@ -841,54 +1168,33 @@ mod tests {
     }
 
     #[test]
-    fn cache_fifo_eviction_is_insertion_ordered() {
-        let t = table();
-        let mut c = RouteCache::new(&t, 2);
-        let _ = c.field(&t, 0);
-        let _ = c.field(&t, 1);
-        let _ = c.field(&t, 0); // hit: must NOT refresh 0's eviction slot
-        assert_eq!((c.hits(), c.misses()), (1, 2));
-        let _ = c.field(&t, 2); // evicts 0 (oldest inserted), not 1
-        assert_eq!(c.len(), 2);
-        let _ = c.field(&t, 1);
-        assert_eq!((c.hits(), c.misses()), (2, 3), "1 must still be resident");
-        let _ = c.field(&t, 0);
-        assert_eq!(c.misses(), 4, "0 must have been evicted");
-    }
-
-    #[test]
-    fn cache_capacity_zero_never_memoizes() {
-        let t = table();
-        let mut c = RouteCache::new(&t, 0);
-        let a = c.field(&t, 3);
-        let b = c.field(&t, 3);
-        assert_eq!(a, b);
-        assert_eq!((c.hits(), c.misses(), c.len()), (0, 2, 0));
-    }
-
-    #[test]
-    fn cache_unbounded_keeps_everything() {
-        let t = table();
-        let mut c = RouteCache::new(&t, usize::MAX);
-        for dest in 0..t.len() as u32 {
-            let _ = c.field(&t, dest);
+    fn cache_is_all_or_nothing() {
+        let t = table(); // 24 lanes: every field together is 8 · 24² B
+        let all = 8 * t.len() * t.len();
+        assert!(!RouteCache::fits(&t, 0));
+        assert!(!RouteCache::fits(&t, all - 1));
+        assert!(RouteCache::fits(&t, all));
+        assert!(RouteCache::fits(&t, usize::MAX));
+        let (from, to) = (t.sample(0.2), t.sample(0.7));
+        // Resident: the first query fills, the second hits.
+        let mut c = RouteCache::new(&t, all);
+        assert!(c.is_resident());
+        let a = c.to(&t, to.lane).distance(&t, from, to);
+        let b = c.to(&t, to.lane).distance(&t, from, to);
+        assert_eq!((c.hits(), c.misses(), c.len()), (1, 1, 1));
+        assert_eq!(c.settled_lanes(), t.len() as u64);
+        assert!(c.resident(to.lane).is_some());
+        // Not resident: every query is a leg search, nothing is kept.
+        let mut n = RouteCache::new(&t, all - 1);
+        assert!(!n.is_resident());
+        let c1 = n.to(&t, to.lane).distance(&t, from, to);
+        let c2 = n.to(&t, to.lane).distance(&t, from, to);
+        assert_eq!((n.hits(), n.misses(), n.len()), (0, 2, 0));
+        assert!(n.resident(to.lane).is_none());
+        assert!(n.settled_lanes() > 0);
+        for d in [b, c1, c2] {
+            assert_eq!(d.to_bits(), a.to_bits());
         }
-        for dest in 0..t.len() as u32 {
-            let _ = c.field(&t, dest);
-        }
-        assert_eq!(c.misses(), t.len() as u64);
-        assert_eq!(c.hits(), t.len() as u64);
-    }
-
-    #[test]
-    fn budget_buys_whole_fields_up_to_the_lane_count() {
-        let t = table(); // 24 lanes: one field is 192 B
-        let field = 8 * t.len();
-        assert_eq!(RouteCache::fields_within(&t, 0), 0);
-        assert_eq!(RouteCache::fields_within(&t, field - 1), 0);
-        assert_eq!(RouteCache::fields_within(&t, field), 1);
-        assert_eq!(RouteCache::fields_within(&t, 5 * field + 7), 5);
-        assert_eq!(RouteCache::fields_within(&t, usize::MAX), t.len());
     }
 
     #[test]

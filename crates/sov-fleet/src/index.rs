@@ -31,7 +31,7 @@
 //! The proptests drive this equivalence directly: indexed dispatch must
 //! reproduce the retained linear-scan reference byte for byte.
 
-use crate::graph::{FleetPos, RouteField, RouteTable};
+use crate::graph::{FleetPos, RouteTable};
 
 /// Maximum candidates a [`CandidateList`] holds — enough that a conflict
 /// during the sharded dispatch commit almost never needs the fallback
@@ -197,25 +197,27 @@ impl SpatialIndex {
     /// Finds the `k` nearest non-skipped vehicles to `target` by driving
     /// distance (ties to the lower id), writing them into `out`.
     ///
-    /// `field` must be the route field toward `target.lane`; `pos_of`
-    /// maps a vehicle id to its position; `skip` excludes vehicles (the
-    /// conflict-resolution fallback passes the claimed set). `out.evals`
-    /// counts distance evaluations performed.
+    /// `distance` maps a vehicle position to its exact driving distance to
+    /// `target` (a resident field or a leg search — see
+    /// [`crate::graph::RouteTo`]); `pos_of` maps a vehicle id to its
+    /// position; `skip` excludes vehicles (the conflict-resolution
+    /// fallback passes the claimed set). `out.evals` counts distance
+    /// evaluations performed.
     ///
     /// Exactness requires [`RouteTable::max_connection_gap_m`]` == 0.0`
     /// (see the module docs); the caller gates index construction on that.
-    // A query is genuinely eight-dimensional (table, field, target, depth,
-    // two predicates, output); bundling them into a struct would only move
-    // the arguments.
+    // A query is genuinely seven-dimensional (table, target, depth, two
+    // predicates, the distance oracle, output); bundling them into a
+    // struct would only move the arguments.
     #[allow(clippy::too_many_arguments)]
     pub fn nearest(
         &self,
         table: &RouteTable,
-        field: &RouteField,
         target: FleetPos,
         k: usize,
         pos_of: impl Fn(u32) -> FleetPos,
         skip: impl Fn(u32) -> bool,
+        mut distance: impl FnMut(FleetPos) -> f64,
         out: &mut CandidateList,
     ) {
         *out = CandidateList::default();
@@ -240,7 +242,7 @@ impl SpatialIndex {
                         continue;
                     }
                     out.evals += 1;
-                    let d = table.travel_distance_with(pos_of(id), target, field);
+                    let d = distance(pos_of(id));
                     out.insert(d, id, k);
                 }
             });
@@ -287,7 +289,7 @@ mod tests {
     /// The linear scan the index must reproduce: best (distance, id).
     fn brute_nearest(
         table: &RouteTable,
-        field: &RouteField,
+        field: &crate::graph::RouteField,
         target: FleetPos,
         vehicles: &[(u32, FleetPos)],
         skip: impl Fn(u32) -> bool,
@@ -324,11 +326,11 @@ mod tests {
             let field = t.field_to(target.lane);
             index.nearest(
                 &t,
-                &field,
                 target,
                 1,
                 |id| vehicles[id as usize].1,
                 |_| false,
+                |from| t.travel_distance_with(from, target, &field),
                 &mut out,
             );
             let want = brute_nearest(&t, &field, target, &vehicles, |_| false);
@@ -350,11 +352,11 @@ mod tests {
         let mut out = CandidateList::default();
         index.nearest(
             &t,
-            &field,
             target,
             2,
             |id| pos_for(id, &vehicles),
             |_| false,
+            |from| t.travel_distance_with(from, target, &field),
             &mut out,
         );
         assert_eq!(out.get(0).map(|c| c.id), Some(3));
@@ -384,22 +386,22 @@ mod tests {
         let mut all = CandidateList::default();
         index.nearest(
             &t,
-            &field,
             target,
             1,
             |id| vehicles[id as usize].1,
             |_| false,
+            |from| t.travel_distance_with(from, target, &field),
             &mut all,
         );
         let winner = all.get(0).expect("non-empty fleet").id;
         let mut rest = CandidateList::default();
         index.nearest(
             &t,
-            &field,
             target,
             1,
             |id| vehicles[id as usize].1,
             |id| id == winner,
+            |from| t.travel_distance_with(from, target, &field),
             &mut rest,
         );
         let want = brute_nearest(&t, &field, target, &vehicles, |id| id == winner);
@@ -434,11 +436,11 @@ mod tests {
         let mut out = CandidateList::default();
         index.nearest(
             &t,
-            &field,
             target,
             1,
             |id| vehicles[id as usize].1,
             |_| false,
+            |from| t.travel_distance_with(from, target, &field),
             &mut out,
         );
         assert_eq!(out.get(0).map(|c| c.id), Some(0));

@@ -9,12 +9,13 @@
 //! size and availability lost to charging is revenue lost.
 //!
 //! * [`graph`] — [`graph::RouteTable`]: a `LaneMap` compiled to CSR
-//!   adjacency with on-demand binary-heap Dijkstra ([`graph::RouteField`]
-//!   per destination, `O(E log N)` per miss — no dense N×N matrix) behind
-//!   a deterministic FIFO-evicting [`graph::RouteCache`] sized from a
-//!   byte budget; `O(log n)`
-//!   uniform position sampling and exact-arrival `advance_with` along
-//!   shortest paths.
+//!   adjacency (no dense N×N matrix). Route queries are answered by
+//!   resident [`graph::RouteField`]s when every lane's field fits the
+//!   [`graph::RouteCache`] byte budget, and otherwise by exact
+//!   goal-directed A\* legs ([`graph::RouteTable::route`]) in a reusable
+//!   [`graph::RouteScratch`]; both yield lane paths that
+//!   `advance_with` walks with exact arrival, plus `O(log n)` uniform
+//!   position sampling.
 //! * [`index`] — [`index::SpatialIndex`]: fixed-geometry grid buckets
 //!   over available vehicles; nearest-available queries expand rings of
 //!   buckets with an exact Euclidean lower bound instead of scanning the
@@ -26,9 +27,10 @@
 //!   is exact, so arrivals route only near pairs.
 //! * [`vehicle`] — [`vehicle::FleetVehicle`]: the per-vehicle serving
 //!   state machine (idle → to-pickup → onboard → idle/charging) with
-//!   battery accounting, an arena-backed lookahead control kernel, and a
-//!   stall-timeout coupling that hands a not-yet-picked-up ride back for
-//!   deterministic re-dispatch.
+//!   battery accounting, a reused buffer holding the current ride's lane
+//!   paths (no route field rides along), an arena-backed lookahead
+//!   control kernel, and a stall-timeout coupling that hands a
+//!   not-yet-picked-up ride back for deterministic re-dispatch.
 //! * [`sim`] — [`sim::FleetSim`]: the four-phase tick (serial arrivals,
 //!   indexed **sharded** dispatch with a serial FIFO commit, sharded
 //!   vehicle advance over `sov-runtime`'s `WorkerPool` with fixed
@@ -44,7 +46,8 @@
 //! depend only on input sizes and config; the parallel dispatch stage is
 //! a read-only search against a pre-dispatch snapshot whose results a
 //! serial pass commits in strict FIFO order; cache residency changes
-//! which Dijkstra runs, never the field values; and every stochastic or
+//! which search runs (a full field or an A\* leg), never a distance or a
+//! path; and every stochastic or
 //! order-sensitive phase (demand, commit, summary merges, checksum) runs
 //! serially in a fixed order. The `fleet_matrix` bench bin and the
 //! crate's proptests gate on exactly this property.
@@ -81,7 +84,7 @@ pub mod request;
 pub mod sim;
 pub mod vehicle;
 
-pub use graph::{Bounds, FleetPos, RouteCache, RouteField, RouteTable};
+pub use graph::{Bounds, FleetPos, RouteCache, RouteField, RouteScratch, RouteTable, RouteTo};
 pub use index::{Candidate, CandidateList, SpatialIndex, MAX_CANDIDATES};
 pub use request::{RideGen, RideRequest};
 pub use sim::{DispatchMode, DispatchStats, FleetConfig, FleetFaultPlan, FleetReport, FleetSim};

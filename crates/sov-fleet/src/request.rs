@@ -11,9 +11,9 @@
 //! destination draw only has to decide "driving distance ≥
 //! `min_trip_m`", and on a contiguous map the straight line between the
 //! two poses already decides it for every pair that is not near: only
-//! near pairs (and every pair on a map with connection gaps) run the
-//! exact search, so arrivals no longer warm the route cache — dispatch
-//! resolves the fields it needs itself.
+//! near pairs (and every pair on a map with connection gaps) ask the
+//! fleet's route oracle ([`RouteCache::to`]) — a resident field on a small
+//! map, one goal-directed leg search on a large one.
 
 use crate::graph::{FleetPos, RouteCache, RouteTable};
 use sov_math::SovRng;
@@ -102,7 +102,8 @@ impl RideGen {
     /// draw whose straight line exceeds `min_trip_m` (plus rounding
     /// slack) is accepted without any search. Only the remaining near
     /// draws — and every draw on a map with connection gaps — resolve
-    /// the exact distance through `cache`. Every accept/reject decision,
+    /// the exact distance through `cache` (its resident field, or a leg
+    /// search in its scratch; both exact). Every accept/reject decision,
     /// and so the RNG stream, is the one the exact search makes on every
     /// draw. Generation runs on the serial phase, so the cache's state
     /// stays a pure function of the demand trace.
@@ -123,8 +124,7 @@ impl RideGen {
                     return true;
                 }
             }
-            let field = cache.field(table, dest.lane);
-            table.travel_distance_with(origin, dest, &field) >= min_trip
+            cache.to(table, dest.lane).distance(table, origin, dest) >= min_trip
         };
         let arrivals = self.poisson();
         for _ in 0..arrivals {
@@ -179,9 +179,9 @@ mod tests {
         let mut b = RideGen::new(7, 2.5, 100.0);
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
         let mut cache_a = RouteCache::new(&t, usize::MAX);
-        // Different cache capacities must not change the trace: the cache
-        // memoizes exact fields, it never changes a distance.
-        let mut cache_b = RouteCache::new(&t, 1);
+        // Residency must not change the trace: resident fields and leg
+        // searches give the same exact distances.
+        let mut cache_b = RouteCache::new(&t, 0);
         for tick in 0..50 {
             a.generate(tick, &t, &mut cache_a, &mut out_a);
             b.generate(tick, &t, &mut cache_b, &mut out_b);
@@ -207,7 +207,7 @@ mod tests {
     fn request_ids_are_dense_and_increasing() {
         let t = table();
         let mut gen = RideGen::new(3, 4.0, 50.0);
-        let mut cache = RouteCache::new(&t, 4);
+        let mut cache = RouteCache::new(&t, 0);
         let mut out = Vec::new();
         for tick in 0..100 {
             gen.generate(tick, &t, &mut cache, &mut out);

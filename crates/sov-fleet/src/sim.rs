@@ -6,8 +6,7 @@
 //! 1. **Arrivals** (serial): the seeded Poisson generator appends this
 //!    tick's requests to the FIFO queue. Its minimum-trip test is settled
 //!    by straight-line distance for all but near pairs, so arrivals run
-//!    (almost) no route search and no longer warm the route cache:
-//!    dispatch resolves the two fields each ride drives on.
+//!    (almost) no route search.
 //! 2. **Dispatch**: strict-FIFO — the head request goes to the nearest
 //!    available vehicle, ties broken on the lower vehicle id. Two
 //!    implementations produce identical bytes: the retained
@@ -17,7 +16,11 @@
 //!    config-fixed chunks against a **pre-dispatch snapshot** of the
 //!    fleet, followed by a serial FIFO commit pass that resolves
 //!    conflicts exactly as the incremental scan would (see
-//!    [`FleetSim::phase_dispatch`]).
+//!    [`FleetSim::phase_dispatch`]). Every distance comes from the route
+//!    oracle ([`RouteCache`]): resident fields when every lane's field
+//!    fits the byte budget, else one goal-directed leg search per query.
+//!    The winner leaves with the lane paths of its pickup and drop-off
+//!    legs, taken from the same source.
 //! 3. **Advance** (sharded): the vehicle array is split into fixed-size
 //!    chunks via [`for_chunks`]; each chunk steps its vehicles. Chunk
 //!    boundaries depend only on fleet size and the configured chunk size
@@ -34,10 +37,13 @@
 //! and write-disjoint, and phase 2's parallel stage is a read-only search
 //! against a snapshot whose results are committed serially in FIFO order,
 //! [`FleetSim::report`] is byte-identical for every dispatch mode, worker
-//! count, shard size, and route-cache capacity — the property the
-//! proptests and the `fleet_matrix` bench gate on.
+//! count, shard size, and route-cache budget — the property the
+//! proptests and the `fleet_matrix` bench gate on. All search scratch is
+//! owned by the simulation (one for the serial phases inside its
+//! [`RouteCache`], one per dispatch chunk), so a fresh simulation repeats
+//! its allocations exactly.
 
-use crate::graph::{RouteCache, RouteField, RouteTable};
+use crate::graph::{RouteCache, RouteScratch, RouteTable};
 use crate::index::{CandidateList, SpatialIndex, MAX_CANDIDATES};
 use crate::request::{RideGen, RideRequest};
 use crate::vehicle::{Assignment, FleetVehicle, StepParams};
@@ -47,7 +53,6 @@ use sov_vehicle::battery::{table1_total_pad_w, DrivingTimeModel};
 use sov_vehicle::cost::TcoModel;
 use sov_world::map::grid_network;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// SplitMix64-style fold used for the report checksum and the stall-fault
 /// draw: cheap, stateless, and identical on every platform.
@@ -124,10 +129,13 @@ pub struct DispatchStats {
     /// Commit-pass conflicts that exhausted a candidate list and re-ran
     /// the ring search against the claimed set.
     pub fallback_searches: u64,
-    /// Route-cache lookups served from a resident field.
+    /// Route lookups served from a resident field.
     pub route_cache_hits: u64,
-    /// Route-cache lookups that ran a fresh Dijkstra.
+    /// Route searches run: resident-field fills and goal-directed legs.
     pub route_cache_misses: u64,
+    /// Lanes settled by those searches (a full field settles every lane).
+    /// Summed per dispatch chunk, so it is worker-invariant too.
+    pub settled_lanes: u64,
 }
 
 /// Fleet workload configuration.
@@ -173,11 +181,12 @@ pub struct FleetConfig {
     /// Shard size of the sharded candidate search: queued requests per
     /// parallel chunk. Config-fixed for the same reason as `chunk`.
     pub dispatch_chunk: usize,
-    /// Route-cache memory budget (bytes). [`FleetSim::new`] keeps
-    /// `min(lanes, budget / (8 · lanes))` fields resident
-    /// ([`RouteCache::fields_within`]): the default 12 MiB holds every
-    /// field of the 12×12 grid (2.2 MB) and 252 of the 40×40 grid's. `0`
-    /// turns memoization off. Changes work done, never bytes produced.
+    /// Route-cache memory budget (bytes). All or nothing
+    /// ([`RouteCache::fits`]): when every lane's field fits (`8 · lanes²`
+    /// bytes; the default 12 MiB holds the 12×12 grid's 2.2 MB) fields
+    /// fill lazily and stay resident; otherwise (the 40×40 grid would
+    /// need 311 MB) none is kept and every query is a goal-directed leg
+    /// search. Changes work done, never bytes produced.
     pub route_cache_bytes: usize,
     /// Spatial-index bucket edge length (meters).
     pub index_cell_m: f64,
@@ -236,10 +245,8 @@ impl FleetConfig {
 ///
 /// Every field is computed on the serial phases in a fixed order, so two
 /// runs of the same [`FleetConfig`] — serial or sharded over any pool,
-/// linear or indexed dispatch, any route-cache capacity — compare equal
-/// field for field, bit for bit. Compare reports **before** querying
-/// percentiles: `Summary::percentile` sorts in place, which changes its
-/// internal (PartialEq-visible) state.
+/// linear or indexed dispatch, any route-cache budget — compare equal
+/// field for field, bit for bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Fleet size.
@@ -289,6 +296,40 @@ pub struct FleetReport {
     pub checksum: u64,
 }
 
+/// One dispatch chunk's share of the sharded candidate search: its
+/// requests' candidate lists and drop-off lane paths, and the scratch for
+/// their leg searches.
+#[derive(Debug, Default)]
+struct DispatchShard {
+    cands: Vec<CandidateList>,
+    dropoffs: Vec<Vec<u32>>,
+    scratch: RouteScratch,
+}
+
+/// Gives `req` to `vehicle` with the lane paths of both legs: the pickup
+/// leg is routed here into `pickup` (from the resident field, whose lookup
+/// was counted when the candidates were ranked, or by a leg search — the
+/// source every distance of this dispatch came from), the drop-off leg is
+/// given.
+fn assign_ride(
+    cache: &mut RouteCache,
+    table: &RouteTable,
+    vehicle: &mut FleetVehicle,
+    req: &RideRequest,
+    tick: u64,
+    pickup: &mut Vec<u32>,
+    dropoff: &[u32],
+) {
+    let from = vehicle.pos;
+    match cache.resident(req.origin.lane) {
+        Some(field) => table.path_with(from, req.origin, field, pickup),
+        None => cache
+            .to(table, req.origin.lane)
+            .path_into(table, from, req.origin, pickup),
+    }
+    vehicle.assign(req, tick, pickup, dropoff);
+}
+
 /// The fleet simulation state.
 #[derive(Debug)]
 pub struct FleetSim {
@@ -309,13 +350,18 @@ pub struct FleetSim {
     rides_completed: u64,
     peak_queue: usize,
     checksum: u64,
+    /// Dispatch counters; its route fields hold only the sharded stage's
+    /// searches (the cache counts the serial ones).
     stats: DispatchStats,
     // Retained scratch (capacity reused every tick; steady state does not
     // grow any of these).
     arrivals: Vec<RideRequest>,
     batch: Vec<RideRequest>,
-    fields: Vec<(Arc<RouteField>, Arc<RouteField>)>,
-    cands: Vec<CandidateList>,
+    shards: Vec<DispatchShard>,
+    /// Lane paths of the ride being assigned (copied into the vehicle;
+    /// indexed dispatch keeps drop-off paths in its shards).
+    pickup: Vec<u32>,
+    dropoff: Vec<u32>,
     /// Claim stamps for the commit pass: `claimed[v] == tick + 1` marks
     /// vehicle `v` as taken this tick (no per-tick clearing needed).
     claimed: Vec<u64>,
@@ -354,10 +400,7 @@ impl FleetSim {
         // reference (reports are mode-invariant, so this is safe).
         let index = (cfg.dispatch == DispatchMode::Indexed && table.max_connection_gap_m() == 0.0)
             .then(|| SpatialIndex::new(&table, cfg.index_cell_m));
-        let cache = RouteCache::new(
-            &table,
-            RouteCache::fields_within(&table, cfg.route_cache_bytes),
-        );
+        let cache = RouteCache::new(&table, cfg.route_cache_bytes);
         let vehicles: Vec<FleetVehicle> = (0..cfg.vehicles)
             .map(|i| {
                 let u = (f64::from(i) + 0.5) / f64::from(cfg.vehicles);
@@ -384,8 +427,9 @@ impl FleetSim {
             stats: DispatchStats::default(),
             arrivals: Vec::new(),
             batch: Vec::new(),
-            fields: Vec::new(),
-            cands: Vec::new(),
+            shards: Vec::new(),
+            pickup: Vec::new(),
+            dropoff: Vec::new(),
             claimed,
             requeued: Vec::new(),
         }
@@ -397,7 +441,7 @@ impl FleetSim {
         &self.table
     }
 
-    /// The route cache (its derived capacity and hit/miss counters).
+    /// The route cache (its residency and hit/miss counters).
     #[must_use]
     pub fn route_cache(&self) -> &RouteCache {
         &self.cache
@@ -428,7 +472,8 @@ impl FleetSim {
     pub fn dispatch_stats(&self) -> DispatchStats {
         DispatchStats {
             route_cache_hits: self.cache.hits(),
-            route_cache_misses: self.cache.misses(),
+            route_cache_misses: self.cache.misses() + self.stats.route_cache_misses,
+            settled_lanes: self.cache.settled_lanes() + self.stats.settled_lanes,
             ..self.stats
         }
     }
@@ -555,14 +600,15 @@ impl FleetSim {
     /// index cannot prune soundly.
     fn dispatch_linear(&mut self) {
         while let Some(&req) = self.queue.front() {
-            let field = self.cache.field(&self.table, req.origin.lane);
+            let target = req.origin;
+            let mut route = self.cache.to(&self.table, target.lane);
             let mut best: Option<(f64, u32)> = None;
             for v in &self.vehicles {
                 if !v.is_available() {
                     continue;
                 }
                 self.stats.distance_evals += 1;
-                let d = self.table.travel_distance_with(v.pos, req.origin, &field);
+                let d = route.distance(&self.table, v.pos, target);
                 let better = match best {
                     None => true,
                     Some((bd, _)) => d < bd,
@@ -575,8 +621,21 @@ impl FleetSim {
                 break;
             };
             let req = self.queue.pop_front().expect("front checked above");
-            let to_dest = self.cache.field(&self.table, req.dest.lane);
-            self.vehicles[id as usize].assign(&req, self.tick, field, to_dest);
+            self.cache.to(&self.table, req.dest.lane).path_into(
+                &self.table,
+                req.origin,
+                req.dest,
+                &mut self.dropoff,
+            );
+            assign_ride(
+                &mut self.cache,
+                &self.table,
+                &mut self.vehicles[id as usize],
+                &req,
+                self.tick,
+                &mut self.pickup,
+                &self.dropoff,
+            );
             self.stats.dispatched += 1;
         }
     }
@@ -591,7 +650,10 @@ impl FleetSim {
     ///   the batch; no writes until commit), so every candidate list is
     ///   the exact top-`MAX_CANDIDATES` of `(distance, id)` over the
     ///   pre-dispatch fleet — independent of worker count and batch
-    ///   order.
+    ///   order. Its distances come from resident fields filled by a
+    ///   serial pre-pass, or from leg searches in each chunk's own
+    ///   scratch; both are exact. The same stage routes each request's
+    ///   drop-off leg, which does not depend on the winner.
     /// * The serial commit walks the batch in FIFO order. For request
     ///   `i`, vehicles claimed by requests `< i` are exactly the ones the
     ///   linear scan would have seen as busy; the first unclaimed
@@ -607,14 +669,14 @@ impl FleetSim {
         }
         self.batch.clear();
         self.batch.extend(self.queue.iter().take(batch_n).copied());
-        // Serial pre-pass: resolve both route fields per request through
-        // the cache (cache mutation stays on the serial phase).
-        self.fields.clear();
-        for i in 0..batch_n {
-            let (origin, dest) = (self.batch[i].origin.lane, self.batch[i].dest.lane);
-            let to_origin = self.cache.field(&self.table, origin);
-            let to_dest = self.cache.field(&self.table, dest);
-            self.fields.push((to_origin, to_dest));
+        // Serial pre-pass: a resident cache fills (and counts) each
+        // request's pickup and drop-off fields here, so the parallel stage
+        // only reads them.
+        if self.cache.is_resident() {
+            for r in &self.batch {
+                let _ = self.cache.to(&self.table, r.origin.lane);
+                let _ = self.cache.to(&self.table, r.dest.lane);
+            }
         }
         let index = self
             .index
@@ -627,46 +689,67 @@ impl FleetSim {
                 .filter(|v| v.is_available())
                 .map(|v| (v.id, v.pos)),
         );
-        // Sharded candidate search against the snapshot.
-        self.cands.clear();
-        self.cands.resize(batch_n, CandidateList::default());
+        // Sharded candidate search against the snapshot: one shard per
+        // config-fixed chunk of the batch.
+        let dc = self.cfg.dispatch_chunk;
+        let n_shards = batch_n.div_ceil(dc);
+        if self.shards.len() < n_shards {
+            self.shards.resize_with(n_shards, DispatchShard::default);
+        }
         {
             let index: &SpatialIndex = self.index.as_ref().expect("built above");
             let table = &self.table;
+            let cache = &self.cache;
             let batch: &[RideRequest] = &self.batch;
-            let fields: &[(Arc<RouteField>, Arc<RouteField>)] = &self.fields;
             let vehicles: &[FleetVehicle] = &self.vehicles;
-            for_chunks(
-                pool,
-                &mut self.cands,
-                self.cfg.dispatch_chunk,
-                |start, chunk| {
-                    for (k, out) in chunk.iter_mut().enumerate() {
-                        let i = start + k;
+            for_chunks(pool, &mut self.shards[..n_shards], 1, |k, shards| {
+                for shard in shards {
+                    let start = k * dc;
+                    let len = dc.min(batch_n - start);
+                    shard.cands.clear();
+                    shard.cands.resize(len, CandidateList::default());
+                    if shard.dropoffs.len() < len {
+                        shard.dropoffs.resize_with(len, Vec::new);
+                    }
+                    for (j, (out, dropoff)) in
+                        shard.cands.iter_mut().zip(&mut shard.dropoffs).enumerate()
+                    {
+                        let i = start + j;
                         // Request i can lose at most i candidates to
                         // earlier commits, so the top-(i + 1) suffice for
                         // an exact winner; deeper batches rely on the
                         // fallback re-search. Depth depends only on the
                         // batch position — never on the worker count.
                         let depth = (i + 1).min(MAX_CANDIDATES);
+                        let (target, dest) = (batch[i].origin, batch[i].dest);
+                        let mut to_origin = cache.shared_to(target.lane, &mut shard.scratch);
                         index.nearest(
                             table,
-                            &fields[i].0,
-                            batch[i].origin,
+                            target,
                             depth,
                             |id| vehicles[id as usize].pos,
                             |_| false,
+                            |from| to_origin.distance(table, from, target),
                             out,
                         );
+                        cache
+                            .shared_to(dest.lane, &mut shard.scratch)
+                            .path_into(table, target, dest, dropoff);
                     }
-                },
-            );
+                }
+            });
+        }
+        for shard in &mut self.shards[..n_shards] {
+            self.stats.route_cache_misses += shard.scratch.searches();
+            self.stats.settled_lanes += shard.scratch.settled_lanes();
+            shard.scratch.reset_counters();
         }
         // Serial FIFO commit: conflict resolution in request order.
         let stamp = self.tick + 1;
         for i in 0..batch_n {
-            self.stats.distance_evals += u64::from(self.cands[i].evals);
-            let winner = self.cands[i]
+            let cands = self.shards[i / dc].cands[i % dc];
+            self.stats.distance_evals += u64::from(cands.evals);
+            let winner = cands
                 .iter()
                 .find(|c| self.claimed[c.id as usize] != stamp)
                 .copied();
@@ -680,14 +763,17 @@ impl FleetSim {
                     // happened so far.
                     self.stats.fallback_searches += 1;
                     let index = self.index.as_ref().expect("built above");
+                    let (table, vehicles, claimed) = (&self.table, &self.vehicles, &self.claimed);
+                    let target = self.batch[i].origin;
+                    let mut route = self.cache.to(table, target.lane);
                     let mut out = CandidateList::default();
                     index.nearest(
-                        &self.table,
-                        &self.fields[i].0,
-                        self.batch[i].origin,
+                        table,
+                        target,
                         1,
-                        |id| self.vehicles[id as usize].pos,
-                        |id| self.claimed[id as usize] == stamp,
+                        |id| vehicles[id as usize].pos,
+                        |id| claimed[id as usize] == stamp,
+                        |from| route.distance(table, from, target),
                         &mut out,
                     );
                     self.stats.distance_evals += u64::from(out.evals);
@@ -696,8 +782,15 @@ impl FleetSim {
             };
             self.claimed[chosen.id as usize] = stamp;
             let req = self.queue.pop_front().expect("batch prefix of the queue");
-            let (to_origin, to_dest) = self.fields[i].clone();
-            self.vehicles[chosen.id as usize].assign(&req, self.tick, to_origin, to_dest);
+            assign_ride(
+                &mut self.cache,
+                &self.table,
+                &mut self.vehicles[chosen.id as usize],
+                &req,
+                self.tick,
+                &mut self.pickup,
+                &self.shards[i / dc].dropoffs[i % dc],
+            );
             self.stats.dispatched += 1;
         }
     }
@@ -871,18 +964,29 @@ mod tests {
 
     #[test]
     fn dispatch_stats_are_worker_invariant() {
-        let serial = {
-            let mut sim = FleetSim::new(small_cfg());
-            let _ = sim.run(None);
-            sim.dispatch_stats()
-        };
         let pool = WorkerPool::new(4);
-        let pooled = {
-            let mut sim = FleetSim::new(small_cfg());
-            let _ = sim.run(Some(&pool));
-            sim.dispatch_stats()
-        };
-        assert_eq!(serial, pooled, "work counters must not see the pool");
+        // Resident fields, and leg searches in per-chunk scratch (a budget
+        // one byte short of every field), across dispatch chunkings.
+        let lanes = FleetSim::new(small_cfg()).table().len();
+        for (route_cache_bytes, dispatch_chunk) in [(usize::MAX, 16), (8 * lanes * lanes - 1, 3)] {
+            let cfg = FleetConfig {
+                route_cache_bytes,
+                dispatch_chunk,
+                ..small_cfg()
+            };
+            let stats = |pool: Option<&WorkerPool>| {
+                let mut sim = FleetSim::new(cfg.clone());
+                let _ = sim.run(pool);
+                sim.dispatch_stats()
+            };
+            let serial = stats(None);
+            assert!(serial.settled_lanes > 0 && serial.route_cache_misses > 0);
+            assert_eq!(
+                serial,
+                stats(Some(&pool)),
+                "work counters must not see the pool"
+            );
+        }
     }
 
     #[test]
@@ -1055,22 +1159,36 @@ mod tests {
     #[test]
     fn route_cache_budget_is_invisible_in_reports() {
         let lanes = FleetSim::new(small_cfg()).table().len();
-        let one_field = 8 * lanes;
-        let default = small_cfg().route_cache_bytes;
-        let run = |route_cache_bytes: usize| {
+        let all_fields = 8 * lanes * lanes;
+        let run = |route_cache_bytes: usize, dispatch: DispatchMode| {
             let mut sim = FleetSim::new(FleetConfig {
                 route_cache_bytes,
+                dispatch,
                 ..small_cfg()
             });
             let report = sim.run(None);
-            (sim.route_cache().capacity(), report)
+            let cache = sim.route_cache();
+            (cache.is_resident(), cache.len(), report)
         };
-        let (cap, reference) = run(0);
-        assert_eq!(cap, 0, "a zero budget disables memoization");
-        for (budget, want_cap) in [(one_field, 1), (default, lanes), (usize::MAX, lanes)] {
-            let (cap, report) = run(budget);
-            assert_eq!(cap, want_cap, "budget {budget} B");
-            assert_eq!(report, reference, "budget {budget} B changed the report");
+        let (resident, _, reference) = run(usize::MAX, DispatchMode::Linear);
+        assert!(resident);
+        for dispatch in [DispatchMode::Linear, DispatchMode::Indexed] {
+            for (budget, want) in [
+                (0, false),
+                (all_fields - 1, false),
+                (all_fields, true),
+                (usize::MAX, true),
+            ] {
+                let (resident, len, report) = run(budget, dispatch);
+                assert_eq!(resident, want, "budget {budget} B");
+                if !resident {
+                    assert_eq!(len, 0, "a budget short of every field keeps none");
+                }
+                assert_eq!(
+                    report, reference,
+                    "budget {budget} B, {dispatch:?} changed the report"
+                );
+            }
         }
     }
 
@@ -1081,7 +1199,7 @@ mod tests {
         let mut sim = FleetSim::new(FleetConfig::perceptin_fleet(4000));
         let lanes = sim.table().len();
         assert_eq!(lanes, 528);
-        assert_eq!(sim.route_cache().capacity(), lanes);
+        assert!(sim.route_cache().is_resident());
         for _ in 0..400 {
             sim.tick_once(None);
         }
@@ -1096,16 +1214,30 @@ mod tests {
     }
 
     #[test]
-    fn default_budget_bounds_the_sprawl_cache() {
-        // 40×40 grid: a field is 49.9 kB, so 12 MiB buys 252 of 6 240 —
-        // no more than the 256 fields the old count-based default held.
-        let sim = FleetSim::new(FleetConfig {
+    fn sprawl_grid_keeps_no_field_resident() {
+        // 40×40 grid: every field together would take 311 MB, far past
+        // the default 12 MiB, so no field is ever kept — every route is a
+        // leg search, and each settles a fraction of the 6 240 lanes.
+        let mut sim = FleetSim::new(FleetConfig {
             grid_rows: 40,
             grid_cols: 40,
             ..FleetConfig::perceptin_fleet(1000)
         });
         assert_eq!(sim.table().len(), 6240);
-        assert_eq!(sim.route_cache().capacity(), 252);
+        assert!(!sim.route_cache().is_resident());
+        for _ in 0..600 {
+            sim.tick_once(None);
+        }
+        assert_eq!(sim.route_cache().len(), 0, "a field became resident");
+        let stats = sim.dispatch_stats();
+        assert!(stats.dispatched > 0);
+        assert_eq!(stats.route_cache_hits, 0);
+        assert!(
+            stats.settled_lanes < stats.dispatched * 6240,
+            "legs settled {} lanes for {} rides",
+            stats.settled_lanes,
+            stats.dispatched
+        );
     }
 
     #[test]

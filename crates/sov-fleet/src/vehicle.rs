@@ -1,25 +1,28 @@
 //! Per-vehicle serving state machine — the body of the sharded fleet tick.
 //!
-//! Each [`FleetVehicle`] owns everything its per-tick [`step`]
-//! (`FleetVehicle::step`) touches: pose, battery, duty, the current
-//! assignment and its accumulators. A step reads only shared immutable
-//! state (the [`RouteTable`] and [`StepParams`]) besides the vehicle
-//! itself, which is what makes the fleet tick shardable with no
+//! Each [`FleetVehicle`] owns everything its per-tick
+//! [`step`](FleetVehicle::step) touches: pose, battery, duty, the current
+//! assignment, its lane paths and its accumulators. A step reads only
+//! shared immutable state (the [`RouteTable`] and [`StepParams`]) besides
+//! the vehicle itself, which is what makes the fleet tick shardable with no
 //! synchronization: chunks of the vehicle array can run on any worker in
 //! any order and produce the same bytes as a serial sweep.
 //!
-//! The lookahead control kernel borrows its scratch buffer from a
-//! per-thread [`FrameArena`], so after one warm-up tick per worker a
-//! steady-state advance performs zero heap allocation process-wide (the
-//! fleet proptests count every global-allocator call to prove it).
+//! A ride carries no routing state: dispatch writes the lane path of both
+//! legs (pickup, then drop-off) into a buffer the vehicle owns and reuses,
+//! and a driving tick walks that path without looking at any route field
+//! or successor list. The lookahead control kernel borrows its scratch
+//! buffer from a per-thread [`FrameArena`], so after one warm-up tick per
+//! worker a steady-state advance performs zero heap allocation
+//! process-wide (the fleet proptests count every global-allocator call to
+//! prove it).
 
-use crate::graph::{FleetPos, RouteField, RouteTable};
+use crate::graph::{FleetPos, RouteTable};
 use crate::request::RideRequest;
 use crate::sim::FleetFaultPlan;
 use sov_runtime::arena::FrameArena;
 use sov_sim::time::SimDuration;
 use sov_vehicle::battery::Battery;
-use std::sync::Arc;
 
 thread_local! {
     /// Per-thread scratch pool for the control kernel. Worker-local state
@@ -42,12 +45,9 @@ pub enum Duty {
     Charging,
 }
 
-/// An accepted ride being served.
-///
-/// Carries the compiled route fields for both legs so the per-tick
-/// advance never recomputes routing: `to_origin` is dropped at pickup
-/// (that leg is over), `to_dest` lives for the ride.
-#[derive(Debug, Clone, PartialEq)]
+/// An accepted ride being served. Its lane paths live in the vehicle
+/// ([`FleetVehicle::assign`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Assignment {
     /// The request id.
     pub request_id: u64,
@@ -60,10 +60,6 @@ pub struct Assignment {
     pub origin: FleetPos,
     /// Drop-off position.
     pub dest: FleetPos,
-    /// Route field toward the pickup lane; `None` once picked up.
-    pub to_origin: Option<Arc<RouteField>>,
-    /// Route field toward the drop-off lane.
-    pub to_dest: Arc<RouteField>,
 }
 
 impl Assignment {
@@ -131,6 +127,14 @@ pub struct FleetVehicle {
     pub battery: Battery,
     duty: Duty,
     assignment: Option<Assignment>,
+    /// Lanes of the current ride: the pickup leg's, then the drop-off
+    /// leg's. Reused ride after ride, so it stops growing once it has held
+    /// the longest ride.
+    route: Vec<u32>,
+    /// How many lanes of `route` belong to the pickup leg.
+    pickup_hops: usize,
+    /// Index in `route` of the next lane to enter.
+    hop: usize,
     /// Consecutive stalled ticks ending at the current tick.
     stall_run: u64,
     /// Whether the most recent step found this vehicle stalled — a
@@ -169,6 +173,9 @@ impl FleetVehicle {
             battery: Battery::full(capacity_kwh),
             duty: Duty::Idle,
             assignment: None,
+            route: Vec::new(),
+            pickup_hops: 0,
+            hop: 0,
             stall_run: 0,
             stalled_now: false,
             returned: None,
@@ -209,32 +216,34 @@ impl FleetVehicle {
         self.stalled_now
     }
 
-    /// Accepts a ride (dispatcher only), carrying the compiled route
-    /// fields for both legs.
+    /// Accepts a ride (dispatcher only) with the lane paths of both legs:
+    /// `pickup` from the vehicle's position to the request's origin,
+    /// `dropoff` from the origin to the destination (as written by
+    /// [`RouteTable::route_path`] or [`RouteTable::path_with`]).
     ///
     /// # Panics
     ///
     /// Panics if the vehicle is not available, or (debug builds) if a
-    /// field routes to the wrong lane.
-    pub fn assign(
-        &mut self,
-        request: &RideRequest,
-        tick: u64,
-        to_origin: Arc<RouteField>,
-        to_dest: Arc<RouteField>,
-    ) {
+    /// non-empty path ends off its leg's target lane.
+    pub fn assign(&mut self, request: &RideRequest, tick: u64, pickup: &[u32], dropoff: &[u32]) {
         assert!(self.is_available(), "dispatching to a busy vehicle");
-        debug_assert_eq!(to_origin.dest(), request.origin.lane);
-        debug_assert_eq!(to_dest.dest(), request.dest.lane);
+        debug_assert!(pickup.last().is_none_or(|&l| l == request.origin.lane));
+        debug_assert!(dropoff.last().is_none_or(|&l| l == request.dest.lane));
         self.assignment = Some(Assignment {
             request_id: request.id,
             request_tick: request.tick,
             pickup_tick: tick,
             origin: request.origin,
             dest: request.dest,
-            to_origin: Some(to_origin),
-            to_dest,
         });
+        self.route.clear();
+        // Exact growth: a fleet holds one buffer per vehicle, so doubling
+        // slack would cost more than the rare regrowth in dispatch.
+        self.route.reserve_exact(pickup.len() + dropoff.len());
+        self.route.extend_from_slice(pickup);
+        self.route.extend_from_slice(dropoff);
+        self.pickup_hops = pickup.len();
+        self.hop = 0;
         self.duty = Duty::ToPickup;
     }
 
@@ -279,21 +288,15 @@ impl FleetVehicle {
                 self.driving_ticks += 1;
                 self.drain(p.drive_load_kw, p.dt_s);
                 let budget = p.table.speed_limit(self.pos.lane) * p.dt_s;
-                let a = self
-                    .assignment
-                    .as_ref()
-                    .expect("driving implies an assignment");
-                let (target, field) = if self.duty == Duty::ToPickup {
-                    (
-                        a.origin,
-                        a.to_origin
-                            .as_ref()
-                            .expect("pickup field lives until pickup"),
-                    )
+                let a = self.assignment.expect("driving implies an assignment");
+                let (target, path) = if self.duty == Duty::ToPickup {
+                    (a.origin, &self.route[..self.pickup_hops])
                 } else {
-                    (a.dest, &a.to_dest)
+                    (a.dest, &self.route[..])
                 };
-                let adv = p.table.advance_with(&mut self.pos, target, budget, field);
+                let adv = p
+                    .table
+                    .advance_with(&mut self.pos, target, budget, path, &mut self.hop);
                 self.odometer_m += adv.moved_m;
                 self.control_kernel(p);
                 if adv.arrived {
@@ -309,8 +312,7 @@ impl FleetVehicle {
         if self.duty == Duty::ToPickup {
             let a = self.assignment.as_mut().expect("arrived with assignment");
             a.pickup_tick = p.tick;
-            // The pickup leg is over; release its route field.
-            a.to_origin = None;
+            debug_assert_eq!(self.hop, self.pickup_hops, "pickup leg fully driven");
             self.duty = Duty::Onboard;
         } else {
             let a = self.assignment.take().expect("arrived with assignment");
@@ -407,12 +409,9 @@ mod tests {
     }
 
     fn assign(v: &mut FleetVehicle, table: &RouteTable, req: &RideRequest, tick: u64) {
-        v.assign(
-            req,
-            tick,
-            Arc::new(table.field_to(req.origin.lane)),
-            Arc::new(table.field_to(req.dest.lane)),
-        );
+        let pickup = table.path(v.pos, req.origin);
+        let dropoff = table.path(req.origin, req.dest);
+        v.assign(req, tick, &pickup, &dropoff);
     }
 
     #[test]

@@ -6,20 +6,25 @@
 //!    size, for any shard (chunk) size, with or without stall-fault
 //!    injection on a subset of vehicles.
 //! 2. **Dispatch equivalence**: the indexed + sharded dispatcher produces
-//!    the same bytes as the retained serial linear-scan reference across
-//!    worker counts, dispatch shard sizes, spatial-index cell sizes, and
-//!    route-cache budgets (including one field and unbounded), with the
+//!    the same bytes as the retained serial linear-scan reference over
+//!    full route fields across worker counts, dispatch shard sizes,
+//!    spatial-index cell sizes, and route-cache budgets (resident fields,
+//!    or none and a goal-directed leg search per query), with the
 //!    stall-requeue coupling live — and its deterministic work counters
 //!    are identical for every worker count.
-//! 3. **Exact demand**: the straight-line-gated [`RideGen`] produces the
+//! 3. **Exact legs**: a goal-directed A\* leg returns the full field's
+//!    travel distance to the bit and the full field's lane path, on grids
+//!    from 2×2 to 40×40.
+//! 4. **Exact demand**: the straight-line-gated [`RideGen`] produces the
 //!    same requests and leaves the same RNG state as a reference that runs
 //!    the exact route search on every destination draw, and falls back to
 //!    that search on a map whose lanes do not touch.
-//! 4. **Allocation-free steady state**: after warm-up, `phase_advance`
+//! 5. **Allocation-free steady state**: after warm-up, `phase_advance`
 //!    makes zero calls to the global allocator (counted process-wide by
-//!    `sov_testkit::alloc::CountingAlloc`) with the spatial index active.
+//!    `sov_testkit::alloc::CountingAlloc`) with the spatial index active,
+//!    while rides walk lane paths from resident fields or leg searches.
 
-use sov_fleet::graph::{FleetPos, RouteCache, RouteTable};
+use sov_fleet::graph::{FleetPos, RouteCache, RouteField, RouteScratch, RouteTable};
 use sov_fleet::request::{RideGen, RideRequest};
 use sov_fleet::sim::{DispatchMode, FleetConfig, FleetFaultPlan, FleetSim};
 use sov_math::SovRng;
@@ -114,13 +119,16 @@ proptest! {
         vehicles in 8u32..48,
         chunk in 1usize..48,
         dispatch_chunk in 1usize..24,
-        cache_axis in 0usize..3,
+        cache_axis in 0usize..4,
         index_cell_m in 30.0f64..150.0,
         fault_axis in 0u32..2,
     ) {
-        // base_cfg's 4×4 grid has 48 lanes: one field is 384 B.
+        // base_cfg's 4×4 grid has 48 lanes: one field is 384 B and every
+        // field 48 times that. Below it no field is kept and dispatch runs
+        // a leg search per query; the reference always reads full fields.
         let one_field = 8 * 48;
-        let route_cache_bytes = [one_field, 8 * one_field, usize::MAX][cache_axis];
+        let all_fields = 48 * one_field;
+        let route_cache_bytes = [one_field, all_fields - 1, all_fields, usize::MAX][cache_axis];
         let fault = (fault_axis == 1).then_some(FleetFaultPlan {
             seed: seed ^ 0xFA17,
             from_tick: 40,
@@ -131,7 +139,7 @@ proptest! {
             dispatch: DispatchMode::Linear,
             stall_requeue_ticks: Some(20),
             fault,
-            route_cache_bytes,
+            route_cache_bytes: usize::MAX,
             ..base_cfg(seed, vehicles, chunk)
         };
         let reference = FleetSim::new(linear_cfg.clone()).run(None);
@@ -140,6 +148,7 @@ proptest! {
             dispatch: DispatchMode::Indexed,
             dispatch_chunk,
             index_cell_m,
+            route_cache_bytes,
             ..linear_cfg
         };
         let mut serial_stats = None;
@@ -163,6 +172,71 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // A leg search must be indistinguishable from the full field it
+    // replaces: the same distance to the bit and the same lane path
+    // (first-minimal tie-break included), on square and oblong grids,
+    // for far pairs and for both same-lane cases.
+    #[test]
+    fn astar_matches_full_field(
+        seed in 0u64..u64::MAX,
+        rows in 2u32..41,
+        cols in 2u32..41,
+        block_axis in 0usize..5,
+    ) {
+        let block_m = [40.0, 50.0, 60.0, 75.0, 80.0][block_axis];
+        let table = RouteTable::new(&grid_network(rows, cols, block_m, 2.5, 8.0));
+        prop_assert_eq!(table.max_connection_gap_m(), 0.0);
+        let mut rng = SovRng::seed_from_u64(seed);
+        let mut sc = RouteScratch::new();
+        let mut got = Vec::new();
+        for q in 0..16 {
+            let from = table.sample(rng.next_f64());
+            let u = rng.next_f64();
+            let to = match q % 4 {
+                // Same lane, ahead: no search, empty path.
+                0 => FleetPos { lane: from.lane, s: from.s + u * (table.lane_length(from.lane) - from.s) },
+                // Same lane, behind: the route loops back to this lane.
+                1 => FleetPos { lane: from.lane, s: u * from.s },
+                _ => table.sample(u),
+            };
+            let field = table.field_to(to.lane);
+            let d = table.route_path(from, to, &mut sc, &mut got);
+            let w = table.travel_distance_with(from, to, &field);
+            prop_assert_eq!(d.to_bits(), w.to_bits(), "{:?} -> {:?}: leg {} vs field {}", from, to, d, w);
+            let want = field_walk(&table, from, to, &field);
+            prop_assert_eq!(&got, &want, "{:?} -> {:?}", from, to);
+            table.path_with(from, to, &field, &mut got);
+            prop_assert_eq!(&got, &want, "field path {:?} -> {:?}", from, to);
+        }
+    }
+}
+
+/// The lanes a vehicle at `from` enters on its way to `to` when it steers
+/// by `field` lane by lane: at each lane end, the first successor of
+/// minimal field distance — the tie-break the fleet has always driven by.
+fn field_walk(table: &RouteTable, from: FleetPos, to: FleetPos, field: &RouteField) -> Vec<u32> {
+    let mut lanes = Vec::new();
+    let mut lane = from.lane;
+    if lane == to.lane && from.s <= to.s {
+        return lanes;
+    }
+    while lanes.last() != Some(&to.lane) {
+        let succ = table.successors(lane);
+        let mut hop = succ[0];
+        for &s in &succ[1..] {
+            if field.to_start(s) < field.to_start(hop) {
+                hop = s;
+            }
+        }
+        lanes.push(hop);
+        lane = hop;
+    }
+    lanes
 }
 
 /// Destination draws per request before a short trip is accepted anyway
@@ -238,18 +312,20 @@ fn euclid(table: &RouteTable, a: FleetPos, b: FleetPos) -> f64 {
     (b.x - a.x).hypot(b.y - a.y)
 }
 
-/// Runs the gated generator and the exact reference side by side; returns
-/// the reference and the gated run's route-cache lookups.
+/// Runs the gated generator (its route cache given `budget` bytes) and the
+/// exact reference side by side; returns the reference and the gated
+/// run's route-cache lookups.
 fn compare_generators(
     table: &RouteTable,
     seed: u64,
     rate: f64,
     min_trip_m: f64,
     ticks: u64,
+    budget: usize,
 ) -> (ExactGen, u64) {
     let mut gated = RideGen::new(seed, rate, min_trip_m);
     let mut exact = ExactGen::new(seed, rate, min_trip_m);
-    let mut cache = RouteCache::new(table, usize::MAX);
+    let mut cache = RouteCache::new(table, budget);
     let (mut got, mut want) = (Vec::new(), Vec::new());
     for tick in 0..ticks {
         gated.generate(tick, table, &mut cache, &mut got);
@@ -272,6 +348,7 @@ proptest! {
         block_axis in 0usize..5,
         trip_axis in 0usize..6,
         free_trip_m in 0.0f64..400.0,
+        resident in any::<bool>(),
     ) {
         let block_m = [40.0, 50.0, 60.0, 75.0, 80.0][block_axis];
         // Block multiples put exact ties (straight line == driving
@@ -279,7 +356,8 @@ proptest! {
         let min_trip_m = [0.0, 60.0, 80.0, 150.0, 160.0, free_trip_m][trip_axis];
         let table = RouteTable::new(&grid_network(rows, cols, block_m, 2.5, 8.0));
         prop_assert_eq!(table.max_connection_gap_m(), 0.0);
-        let (exact, lookups) = compare_generators(&table, seed, 3.0, min_trip_m, 30);
+        let budget = if resident { usize::MAX } else { 0 };
+        let (exact, lookups) = compare_generators(&table, seed, 3.0, min_trip_m, 30, budget);
         prop_assert!(exact.next_id > 0, "no demand generated");
         prop_assert!(lookups <= exact.decisions);
         prop_assert_eq!(exact.euclid_wrong, 0, "straight line beat driving distance");
@@ -305,7 +383,10 @@ fn gapped_map() -> LaneMap {
 fn gapped_map_falls_back_to_exact_search() {
     let table = RouteTable::new(&gapped_map());
     assert!(table.max_connection_gap_m() > 0.0);
-    let (exact, lookups) = compare_generators(&table, 17, 2.0, 30.0, 200);
+    // Without resident fields the gapped map's searches run unbounded
+    // (the full field, in scratch): still the exact trace.
+    let _ = compare_generators(&table, 17, 2.0, 30.0, 200, 0);
+    let (exact, lookups) = compare_generators(&table, 17, 2.0, 30.0, 200, usize::MAX);
     assert!(
         exact.euclid_wrong > 0,
         "map never separates straight line from driving distance"
@@ -320,32 +401,40 @@ fn gapped_map_falls_back_to_exact_search() {
 fn steady_state_advance_is_allocation_free() {
     // Serial run on this thread so every allocation the advance makes is
     // counted here. base_cfg defaults to indexed dispatch, so the spatial
-    // index (rebuild + ring search) runs between the measured phases.
-    let mut sim = FleetSim::new(base_cfg(7, 32, 8));
-    assert_eq!(sim.config().dispatch, DispatchMode::Indexed);
-    // Warm-up: enough ticks for vehicles to start driving (the control
-    // kernel only runs on driving ticks) and for its arena to pool.
-    for _ in 0..60 {
-        sim.tick_once(None);
+    // index (rebuild + ring search) runs between the measured phases; the
+    // rides walk lane paths taken from resident fields, then from leg
+    // searches (a budget with no room for fields).
+    for route_cache_bytes in [usize::MAX, 0] {
+        let mut sim = FleetSim::new(FleetConfig {
+            route_cache_bytes,
+            ..base_cfg(7, 32, 8)
+        });
+        assert_eq!(sim.config().dispatch, DispatchMode::Indexed);
+        // Warm-up: enough ticks for vehicles to start driving (the control
+        // kernel only runs on driving ticks) and for its arena to pool.
+        for _ in 0..60 {
+            sim.tick_once(None);
+        }
+        let driving0: u64 = sim.vehicles().iter().map(|v| v.driving_ticks).sum();
+        assert!(driving0 > 0, "warm-up never drove");
+        let mut allocs = 0;
+        for _ in 0..120 {
+            sim.phase_arrivals();
+            sim.phase_dispatch(None);
+            let before = thread_allocations();
+            sim.phase_advance(None);
+            allocs += thread_allocations() - before;
+            sim.phase_merge();
+        }
+        let driving: u64 = sim.vehicles().iter().map(|v| v.driving_ticks).sum();
+        assert!(
+            driving > driving0,
+            "steady state never drove — the assertion below would be vacuous"
+        );
+        assert_eq!(
+            allocs, 0,
+            "steady-state phase_advance called the allocator {allocs} times \
+             (route budget {route_cache_bytes} B)"
+        );
     }
-    let driving0: u64 = sim.vehicles().iter().map(|v| v.driving_ticks).sum();
-    assert!(driving0 > 0, "warm-up never drove");
-    let mut allocs = 0;
-    for _ in 0..120 {
-        sim.phase_arrivals();
-        sim.phase_dispatch(None);
-        let before = thread_allocations();
-        sim.phase_advance(None);
-        allocs += thread_allocations() - before;
-        sim.phase_merge();
-    }
-    let driving: u64 = sim.vehicles().iter().map(|v| v.driving_ticks).sum();
-    assert!(
-        driving > driving0,
-        "steady state never drove — the assertion below would be vacuous"
-    );
-    assert_eq!(
-        allocs, 0,
-        "steady-state phase_advance called the allocator {allocs} times"
-    );
 }

@@ -7,9 +7,11 @@
 
 /// A collection of `f64` samples with summary-statistics queries.
 ///
-/// Stores all samples (experiments in this workspace are at most a few
-/// hundred thousand frames), enabling exact percentiles rather than sketch
-/// approximations.
+/// Stores all samples in recording order (experiments in this workspace
+/// are at most a few hundred thousand frames), enabling exact percentiles
+/// rather than sketch approximations. Queries never change the summary, so
+/// two summaries compare equal exactly when they recorded the same samples
+/// in the same order, whatever was asked of them.
 ///
 /// # Example
 ///
@@ -26,7 +28,6 @@
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Summary {
     samples: Vec<f64>,
-    sorted: bool,
 }
 
 impl Summary {
@@ -39,7 +40,6 @@ impl Summary {
     /// Records one sample.
     pub fn record(&mut self, value: f64) {
         self.samples.push(value);
-        self.sorted = false;
     }
 
     /// Number of samples recorded.
@@ -98,50 +98,52 @@ impl Summary {
             .fold(f64::NEG_INFINITY, f64::max)
     }
 
-    /// Exact percentile `p ∈ [0, 100]` by nearest-rank on the sorted samples.
+    /// Exact percentile `p ∈ [0, 100]` by nearest-rank on the sorted samples
+    /// (sorts a copy; the summary itself is left as recorded).
     ///
     /// Returns `0.0` when empty.
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if `p` is outside `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> f64 {
+    /// Panics if a NaN sample was recorded, or (debug builds) if `p` is
+    /// outside `[0, 100]`.
+    #[must_use]
+    pub fn percentile(&self, p: f64) -> f64 {
         debug_assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
         if self.samples.is_empty() {
             return 0.0;
         }
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample recorded"));
-            self.sorted = true;
-        }
-        let n = self.samples.len();
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample recorded"));
+        let n = sorted.len();
         // Guard the ceil against upward float error at exact-integer
         // ranks (e.g. 99.9% of 1000 samples is rank 999, but the
         // product lands at 999.0000000000001).
         let rank = ((p / 100.0) * n as f64 - 1e-9).ceil() as usize;
-        self.samples[rank.clamp(1, n) - 1]
+        sorted[rank.clamp(1, n) - 1]
     }
 
     /// Median (50th percentile).
-    pub fn median(&mut self) -> f64 {
+    #[must_use]
+    pub fn median(&self) -> f64 {
         self.percentile(50.0)
     }
 
     /// 99th percentile, as reported in Fig. 10a.
-    pub fn p99(&mut self) -> f64 {
+    #[must_use]
+    pub fn p99(&self) -> f64 {
         self.percentile(99.0)
     }
 
     /// 99.9th percentile — the deep tail COLA-style accounting cares
     /// about: at 10 control Hz, p99.9 is the worst frame of every
     /// ~100 s of driving.
-    pub fn p999(&mut self) -> f64 {
+    #[must_use]
+    pub fn p999(&self) -> f64 {
         self.percentile(99.9)
     }
 
-    /// Read-only view of the recorded samples (unsorted order is not
-    /// guaranteed once a percentile has been queried).
+    /// Read-only view of the recorded samples, in recording order.
     #[must_use]
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -277,7 +279,7 @@ mod tests {
 
     #[test]
     fn empty_summary_is_zeroes() {
-        let mut s = Summary::new();
+        let s = Summary::new();
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.percentile(99.0), 0.0);
@@ -287,7 +289,7 @@ mod tests {
 
     #[test]
     fn summary_basic_stats() {
-        let mut s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
+        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
             .into_iter()
             .collect();
         assert_eq!(s.mean(), 5.0);
@@ -299,7 +301,7 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank() {
-        let mut s: Summary = (1..=100).map(f64::from).collect();
+        let s: Summary = (1..=100).map(f64::from).collect();
         assert_eq!(s.percentile(50.0), 50.0);
         assert_eq!(s.percentile(99.0), 99.0);
         assert_eq!(s.percentile(100.0), 100.0);
@@ -309,11 +311,11 @@ mod tests {
 
     #[test]
     fn deep_tail_percentiles() {
-        let mut s: Summary = (1..=1000).map(f64::from).collect();
+        let s: Summary = (1..=1000).map(f64::from).collect();
         assert_eq!(s.p99(), 990.0);
         assert_eq!(s.p999(), 999.0);
         // With few samples p99.9 collapses onto the max by nearest rank.
-        let mut small: Summary = (1..=10).map(f64::from).collect();
+        let small: Summary = (1..=10).map(f64::from).collect();
         assert_eq!(small.p999(), small.max());
     }
 
@@ -324,6 +326,16 @@ mod tests {
         assert_eq!(s.percentile(50.0), 10.0);
         s.record(1.0);
         assert_eq!(s.percentile(0.0), 1.0);
+    }
+
+    #[test]
+    fn queries_do_not_change_equality() {
+        let a: Summary = [3.0, 1.0, 2.0].into_iter().collect();
+        let b = a.clone();
+        assert_eq!(a.percentile(50.0), 2.0);
+        assert_eq!((a.median(), a.p99(), a.p999()), (2.0, 3.0, 3.0));
+        assert_eq!(a, b, "a queried summary must still equal its twin");
+        assert_eq!(a.samples(), &[3.0, 1.0, 2.0], "recording order kept");
     }
 
     #[test]

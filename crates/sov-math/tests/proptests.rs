@@ -113,7 +113,7 @@ proptest! {
 
     #[test]
     fn summary_percentiles_are_ordered(values in prop::collection::vec(finite(-1e6..1e6), 1..200)) {
-        let mut s: Summary = values.iter().copied().collect();
+        let s: Summary = values.iter().copied().collect();
         let min = s.min();
         let max = s.max();
         let median = s.median();

@@ -62,7 +62,7 @@ fn main() {
         );
     }
 
-    let mut wait = report.wait_s.clone();
+    let wait = &report.wait_s;
     println!(
         "served {} of {} rides / {:.1} km driven, wait p50/p99 {:.0}/{:.0} s",
         report.rides_completed,

@@ -29,7 +29,7 @@ fn main() {
         config.control_rate_hz
     );
     let mut sov = Sov::new(config, 42);
-    let mut report = sov.drive(&scenario, 600).expect("at least one frame");
+    let report = sov.drive(&scenario, 600).expect("at least one frame");
     println!("\ndrive report:");
     println!("  outcome:              {:?}", report.outcome);
     println!(

@@ -103,9 +103,15 @@ echo "== shard sizes × fault injection; allocation-free steady state) =="
 cargo test --offline -q -p sov-fleet --test proptests
 
 echo "== fleet dispatch-equivalence proptest (indexed + sharded vs the =="
-echo "== serial linear scan across workers × dispatch shards × route-  =="
-echo "== cache budgets × index cell sizes × stall requeues)            =="
+echo "== serial linear scan over full fields across workers × dispatch =="
+echo "== shards × route budgets (resident fields or A* legs) × index   =="
+echo "== cell sizes × stall requeues)                                  =="
 cargo test --offline -q -p sov-fleet --test proptests dispatch_equivalence
+
+echo "== A* leg == full route field (goal-directed reverse search on   =="
+echo "== grids 2-40 x blocks: bit-identical distance, identical lane    =="
+echo "== path, same-lane ahead/behind included)                         =="
+cargo test --offline -q -p sov-fleet --test proptests astar_matches_full_field
 
 echo "== gated ride demand == exact search (straight-line-gated RideGen =="
 echo "== vs a route search on every draw: same requests, same RNG state =="
@@ -120,9 +126,10 @@ cargo test --offline -q -p sov-runtime --test arena_alloc
 cargo test --offline -q -p sov-fleet --test proptests steady_state_advance_is_allocation_free
 
 echo "== fleet_matrix smoke (ride serving with the spatial index on: one =="
-echo "== linear reference cell + the indexed worker sweep; exits non-    =="
-echo "== zero on any report diverging from the reference, work counters  =="
-echo "== that see the pool, or an eval reduction below 2x)               =="
+echo "== linear reference cell + the indexed worker sweep + a serial     =="
+echo "== 40x40 cell; exits non-zero on any report diverging from the     =="
+echo "== reference, work counters that see the pool, an eval reduction   =="
+echo "== below 2x, or 40x40 rides settling >= the map's lanes each)      =="
 if [ "$(nproc 2>/dev/null || echo 0)" -lt 3 ]; then
   echo "warning: host has < 3 cores — fleet_matrix throughput gate is informational only"
 fi

@@ -16,7 +16,7 @@ use sov::world::scenario::ComplexityProfile;
 fn claim_latency_mean_164ms_and_5m_avoidance() {
     let config = VehicleConfig::perceptin_pod();
     let profile = ComplexityProfile::new(vec![(0.0, 0.3), (0.5, 0.6), (1.0, 0.3)]);
-    let mut c = Characterization::run(&config, &profile, 12_000, 123);
+    let c = Characterization::run(&config, &profile, 12_000, 123);
     let mean = c.computing.mean();
     assert!(
         (140.0..190.0).contains(&mean),
